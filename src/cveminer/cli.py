@@ -19,10 +19,8 @@ import sys
 from pathlib import Path
 
 from .errors import CveMinerError, ProviderError
-from .pipeline import PipelineConfig, run_pipeline, run_validate
+from .pipeline import STAGES, PipelineConfig, run_pipeline, run_validate
 from .vectors import EmbedAborted
-
-_STAGE_COMMANDS = ("ingest", "classify", "embed", "cluster", "topics", "project", "report")
 
 
 def _parse_value(raw: str):
@@ -75,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", default=None, help="override the response cache path")
         p.add_argument("--template", default=None, help="alternate classification prompt file")
 
-    for name in _STAGE_COMMANDS:
+    for name in STAGES:
         p = sub.add_parser(name, help=f"run the pipeline through the {name} stage")
         add_common(p)
 

@@ -29,6 +29,10 @@ CVE_ID_RE = re.compile(r"^CVE-(\d{4})-(\d{4,7})$")
 # hyphen, en dash, minus sign, ...); normalized to ASCII before validation.
 _HYPHEN_VARIANTS = dict.fromkeys("‐‑‒–—−", "-")
 
+# Characters str.splitlines breaks at that json.dumps(ensure_ascii=False)
+# leaves raw; dump_records escapes them so its lines parse back.
+_RAW_LINE_BREAKS = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
+
 PARSE_FORMATS = ("canonical-jsonl", "nvd-feed")
 
 
@@ -199,7 +203,7 @@ def dump_records(records: list[CveRecord]) -> bytes:
     lines = []
     for r in records:
         lines.append(json.dumps({"id": r.id, "description": r.description, "source": r.source},
-                                ensure_ascii=False))
+                                ensure_ascii=False).translate(_RAW_LINE_BREAKS))
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 

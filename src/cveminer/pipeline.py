@@ -1,15 +1,24 @@
-"""End-to-end pipeline: ingest, classify, embed, cluster, topics, project, report.
+"""End-to-end pipeline: ingest, classify, embed, cluster, topics,
+representatives, project, report.
 
-Every run writes a manifest (``manifest.json``) listing the stages, the
-digests of their inputs, the artifacts they produced, and per-stage counts.
-On a re-run, a stage whose inputs and existing outputs match the previous
+The stages are declared once, in order, in a stage table that
+``run_pipeline`` walks in one loop; ``until`` cuts the table short.  Every
+run writes a manifest (``manifest.json``) listing the stages, the digests of
+their inputs, the artifacts they produced, and per-stage counts.  On a
+re-run, a stage whose inputs and existing outputs match the previous
 manifest is skipped; the first stage that must recompute forces all later
-stages to recompute as well, so stale downstream artifacts can never
-survive an upstream change.
+stages to recompute as well.  A recomputed stage deletes every file of its
+previous record that it no longer writes, so a parameter change (a smaller
+K, say) leaves none of the earlier run's artifacts behind.
+
+Each consumed artifact is parsed at most once per run, and not at all when
+its producer computed in the same run: the value is handed forward, which is
+exact because every artifact format round-trips bit for bit.
 
 An output directory is guarded by a lock file; two runs may not share one.
 The response cache lives at its own configured path (outside the artifact
-tree), so re-runs never re-bill completed provider calls.
+tree), so re-runs never re-bill completed provider calls.  It is opened only
+when a stage computes, so a fully cached re-run never loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +29,9 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -122,10 +133,6 @@ class PipelineConfig:
         return doc
 
 
-STAGES = ("ingest", "classify", "embed", "cluster", "topics",
-          "representatives", "project", "report")
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -161,58 +168,21 @@ class _Lock:
         return False
 
 
-class _StageRunner:
-    """Executes stages in order, skipping ones whose inputs are unchanged."""
-
-    def __init__(self, outdir: Path, previous: dict | None):
-        self.outdir = outdir
-        self.previous = {s["name"]: s for s in (previous or {}).get("stages", [])}
-        self.records: list[dict] = []
-        self.dirty = False
-
-    def _outputs_fresh(self, prev: dict) -> bool:
-        for rel, digest in prev.get("outputs", {}).items():
-            path = self.outdir / rel
-            if not path.exists() or _digest_file(path) != digest:
-                return False
-        return True
-
-    def run(self, name: str, params: dict, input_files: list[Path], fn) -> dict:
-        """fn() must write this stage's artifacts and return its counts."""
-        input_digest = _digest_params({
-            "params": params,
-            "files": [_digest_file(p) for p in input_files],
-        })
-        prev = self.previous.get(name)
-        if (not self.dirty and prev is not None
-                and prev.get("input_digest") == input_digest
-                and self._outputs_fresh(prev)):
-            record = dict(prev)
-            record["status"] = "cached"
-            self.records.append(record)
-            return record["counts"]
-
-        self.dirty = True
-        started = _utcnow()
-        t0 = time.perf_counter()
-        counts, outputs = fn()
-        record = {
-            "name": name,
-            "status": "computed",
-            "input_digest": input_digest,
-            "outputs": {str(p.relative_to(self.outdir)): _digest_file(p) for p in outputs},
-            "counts": counts,
-            "started_at": started,
-            "duration_s": round(time.perf_counter() - t0, 6),
-        }
-        self.records.append(record)
-        return counts
-
-
-def _write(path: Path, data: bytes) -> Path:
+def _write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
-    return path
+
+
+def _json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _jsonl_bytes(docs: list[dict]) -> bytes:
+    return ("\n".join(json.dumps(d) for d in docs) + ("\n" if docs else "")).encode("utf-8")
+
+
+def _parse_jsonl(data: bytes) -> list[dict]:
+    return [json.loads(line) for line in data.decode("utf-8").splitlines() if line.strip()]
 
 
 def _load_terms(path: str | None, bundled) -> frozenset[str]:
@@ -224,23 +194,18 @@ def _effective_perplexity(configured: float, n: int) -> float:
     return min(configured, (n - 1) / 3.0 - 1e-9)
 
 
-def _manifest_doc(config: PipelineConfig, runner: _StageRunner | None,
-                  planned: dict | None = None) -> dict:
+def _write_manifest(config: PipelineConfig, stages: list[dict], planned: dict | None = None) -> dict:
     doc = {
         "run_id": _digest_params(config.identity())[:16],
         "seed": config.seed,
         "config": config.identity(),
         "created_at": _utcnow(),
-        "stages": runner.records if runner else [],
+        "stages": stages,
     }
     if planned is not None:
         doc["planned"] = planned
+    _write(Path(config.output_dir) / "manifest.json", _json_bytes(doc))
     return doc
-
-
-def _write_manifest(outdir: Path, doc: dict) -> None:
-    _write(outdir / "manifest.json",
-           (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _ingest_records(config: PipelineConfig) -> tuple[list[corpus.CveRecord], list[corpus.RejectEntry]]:
@@ -255,6 +220,280 @@ def _ingest_records(config: PipelineConfig) -> tuple[list[corpus.CveRecord], lis
     return records, rejects
 
 
+class _Run:
+    """One run's stage records, artifact values and lazily opened resources."""
+
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.outdir = Path(config.output_dir)
+        self.stages: list[dict] = []         # this run's manifest records
+        self.counts: dict[str, dict] = {}    # stage name -> its counts
+        self.digests: dict[str, str] = {}    # artifact -> sha256 recorded by this run
+        self.values: dict[str, object] = {}  # artifact -> parsed or handed-forward value
+        self.outputs: dict[str, str] = {}    # artifact -> sha256, for the computing stage
+
+    def write(self, name: str, data: bytes, value=None) -> None:
+        """Write an artifact; a `value` given here is what later stages get
+        for it, in place of parsing `data` back."""
+        _write(self.outdir / name, data)
+        self.outputs[name] = _sha256(data)
+        if value is not None:
+            self.values[name] = value
+
+    def get(self, name: str):
+        if name not in self.values:
+            self.values[name] = _PARSERS[name](self, (self.outdir / name).read_bytes())
+        return self.values[name]
+
+    def input_digests(self, stage: "Stage") -> list[str]:
+        if not stage.inputs:  # the first stage reads the corpus files themselves
+            return [_digest_file(Path(p)) for p in self.config.corpus_paths]
+        return [self.digests[name] for name in stage.inputs]
+
+    def outputs_fresh(self, record: dict) -> bool:
+        for rel, digest in record.get("outputs", {}).items():
+            path = self.outdir / rel
+            if not path.exists() or _digest_file(path) != digest:
+                return False
+        return True
+
+    @cached_property
+    def cache(self) -> gateway.ResponseCache:
+        return gateway.ResponseCache(self.config.cache_path)
+
+    @cached_property
+    def hwsw_template(self) -> classifier.PromptTemplate:
+        return classifier.load_template("hwsw", self.config.template_path)
+
+    @cached_property
+    def stopwords(self) -> frozenset[str]:
+        return _load_terms(self.config.stopwords_path, default_stopwords)
+
+    @cached_property
+    def blocklist(self) -> frozenset[str]:
+        return _load_terms(self.config.blocklist_path, default_blocklist)
+
+    @cached_property
+    def matrix(self) -> vectors.EmbeddingMatrix:
+        """The embeddings as clustering and projection see them."""
+        matrix = self.get("embeddings.jsonl")
+        return vectors.normalize_matrix(matrix) if self.config.normalize else matrix
+
+
+def _parse_model(run: _Run, data: bytes) -> clustering.ClusterModel:
+    doc = json.loads(data)
+    assignments = run.get("assignments.jsonl")
+    return clustering.ClusterModel(
+        k=int(doc["k"]), centroids=np.array(doc["centroids"], dtype=np.float64),
+        assignments=np.array([assignments[i] for i in run.matrix.ids], dtype=np.int64),
+        wcss=float(doc["wcss"]), seed=doc["seed"],
+        iterations=int(doc["iterations"]), converged=bool(doc["converged"]))
+
+
+def _parse_coords(run: _Run, data: bytes):
+    """The projection and each point's cluster, or None when it was skipped."""
+    points = _parse_jsonl(data)
+    if not points:
+        return None
+    result = projection.ProjectionResult(
+        ids=[p["id"] for p in points], coords=np.array([(p["x"], p["y"]) for p in points]),
+        seed=run.config.seed, params=projection.TsneParams(), final_kl=0.0)
+    return result, {p["id"]: p["cluster"] for p in points}
+
+
+# artifact -> parse(run, data): the one place each consumed artifact is read
+_PARSERS = {
+    "records.jsonl": lambda run, data: corpus.parse_records(data)[0],
+    "hardware.jsonl": lambda run, data: corpus.parse_records(data)[0],
+    "classify_failures.jsonl": lambda run, data: [(d["id"], d["reason"]) for d in _parse_jsonl(data)],
+    "embeddings.jsonl": lambda run, data: vectors.load_matrix(data),
+    "assignments.jsonl": lambda run, data: clustering.load_assignments(data),
+    "cluster_model.json": _parse_model,
+    "ngram_profiles.json": lambda run, data: topics.load_profiles(data),
+    "topic_summaries.json": lambda run, data: json.loads(data),
+    "blocked_labels.json": lambda run, data: json.loads(data),
+    "representatives.json": lambda run, data: {int(c): ids for c, ids in json.loads(data).items()},
+    "coords.jsonl": _parse_coords,
+}
+
+
+# -- stages: each writes its artifacts through run.write and returns counts ----
+
+def _ingest(run: _Run) -> dict:
+    records, rejects = _ingest_records(run.config)
+    run.write("records.jsonl", corpus.dump_records(records), records)
+    run.write("rejects.jsonl", _jsonl_bytes(
+        [{"index": r.index, "reason": r.reason, "raw": r.raw} for r in rejects]))
+    run.write("yearly_counts.csv",
+              reporting.growth_csv(corpus.yearly_counts(records)).encode("utf-8"))
+    return {"ingested": len(records), "rejected": len(rejects)}
+
+
+def _classify(run: _Run) -> dict:
+    records = run.get("records.jsonl")
+    predictions, failures = classifier.classify_corpus(
+        run.config.chat_provider, run.hwsw_template, records, cache=run.cache)
+    hardware = classifier.hardware_subset(records, predictions)
+    run.write("predictions.jsonl", classifier.dump_predictions(predictions))
+    run.write("classify_failures.jsonl",
+              _jsonl_bytes([{"id": i, "reason": why} for i, why in failures]), failures)
+    run.write("hardware.jsonl", corpus.dump_records(hardware), hardware)
+    if not hardware:
+        raise EmptyHardwareSet("no record was classified as hardware")
+    return {"predicted": len(predictions), "failures": len(failures), "hardware": len(hardware)}
+
+
+def _embed(run: _Run) -> dict:
+    matrix = vectors.embed_corpus(run.config.embed_provider, run.get("hardware.jsonl"),
+                                  cache=run.cache)
+    run.write("embeddings.jsonl", vectors.dump_matrix(matrix), matrix)
+    return {"rows": len(matrix), "dim": matrix.dim}
+
+
+def _cluster(run: _Run) -> dict:
+    config, matrix = run.config, run.matrix
+    if config.k is not None:
+        chosen_k = config.k
+    else:
+        k_min, k_max = config.elbow_range
+        curve = clustering.elbow_select(matrix, k_min, min(k_max, len(matrix) - 1), config.seed,
+                                        config.restarts, config.max_iter, config.tol)
+        chosen_k = curve.chosen_k
+        run.write("elbow.json", (json.dumps(asdict(curve), sort_keys=True) + "\n").encode("utf-8"))
+    # elbow_select has already fitted chosen_k with these seeds; the refit
+    # stays while perfbench's clustering.final_fit_s metric measures it
+    model = clustering.fit_best_of(matrix, chosen_k, config.seed,
+                                   config.restarts, config.max_iter, config.tol)
+    run.write("cluster_model.json", clustering.dump_model(model), model)
+    run.write("assignments.jsonl", clustering.dump_assignments(matrix.ids, model.assignments),
+              {i: int(c) for i, c in zip(matrix.ids, model.assignments)})
+    return {"k": model.k, "wcss": model.wcss, "iterations": model.iterations}
+
+
+def _topics(run: _Run) -> dict:
+    config, hardware, assignments = run.config, run.get("hardware.jsonl"), run.get("assignments.jsonl")
+    profiles = topics.cluster_keywords([r.description for r in hardware],
+                                       [assignments[r.id] for r in hardware],
+                                       int(run.counts["cluster"]["k"]), config.r,
+                                       run.blocklist, run.stopwords,
+                                       per_document=config.per_document)
+    template = classifier.load_template("summarize")
+    summaries, blocked = [], []
+    for profile in profiles:
+        if not profile.entries:
+            summaries.append({"cluster": profile.cluster, "label": None,
+                              "keywords": [], "model": None})
+            continue
+        try:
+            summary = topics.summarize_cluster(config.chat_provider, template, profile,
+                                               cache=run.cache, blocked=run.blocklist)
+            summaries.append({"cluster": summary.cluster, "label": summary.label,
+                              "keywords": list(summary.keywords_used),
+                              "model": summary.model_id})
+        except topics.BlockedTermInLabel as exc:
+            blocked.append({"cluster": profile.cluster, "label": exc.label, "term": exc.term})
+            summaries.append({"cluster": profile.cluster, "label": None,
+                              "keywords": profile.keywords, "model": None})
+    run.write("ngram_profiles.json", topics.dump_profiles(profiles), profiles)
+    run.write("topic_summaries.json", _json_bytes(summaries), summaries)
+    run.write("blocked_labels.json", _json_bytes(blocked), blocked)
+    return {"profiles": len(profiles), "blocked": len(blocked)}
+
+
+def _representatives(run: _Run) -> dict:
+    reps = clustering.representatives(run.matrix, run.get("cluster_model.json"),
+                                      run.config.m, run.config.metric)
+    run.write("representatives.json",
+              _json_bytes({str(c): ids for c, ids in sorted(reps.items())}), reps)
+    return {"clusters": len(reps), "m": run.config.m}
+
+
+def _project(run: _Run) -> dict:
+    config, matrix = run.config, run.matrix
+    n = len(matrix)
+    if n < 5:
+        run.write("coords.jsonl", b"")
+        return {"skipped": f"{n} rows < 5"}
+    eff = _effective_perplexity(config.perplexity, n)
+    params = projection.TsneParams(perplexity=eff, iterations=config.tsne_iterations,
+                                   learning_rate=config.learning_rate)
+    result = projection.tsne(matrix, params, seed=config.seed)
+    assignments = run.get("assignments.jsonl")
+    run.write("coords.jsonl", projection.dump_coords(result, assignments), (result, assignments))
+    return {"points": n, "perplexity": eff, "final_kl": result.final_kl}
+
+
+def _report(run: _Run) -> dict:
+    summaries = [topics.TopicSummary(cluster=s["cluster"], label=s["label"] or "(needs review)",
+                                     keywords_used=tuple(s["keywords"]), model_id=s["model"] or "")
+                 for s in run.get("topic_summaries.json")]
+    profiles = run.get("ngram_profiles.json")
+    run.write("topic_table.md", reporting.topic_table(profiles, summaries).encode("utf-8"))
+    run.write("representatives.md",
+              reporting.representatives_table(run.get("representatives.json")).encode("utf-8"))
+    run.write("review_queue.json", reporting.review_export(
+        run.get("classify_failures.jsonl"),
+        [(b["cluster"], b["label"], b["term"]) for b in run.get("blocked_labels.json")]
+    ).encode("utf-8"))
+    for profile in profiles:
+        if profile.entries:
+            run.write(f"term_weights_{profile.cluster}.json",
+                      reporting.term_weights(profile).encode("utf-8"))
+            run.write(f"wordcloud_{profile.cluster}.svg", reporting.wordcloud_grid_svg(profile))
+    coords = run.get("coords.jsonl")
+    if coords is not None:
+        legend = {s.cluster: s.label for s in summaries}
+        run.write("scatter.svg", reporting.scatter_svg(*coords, legend))
+    return {"artifacts": len(run.outputs)}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline step.
+
+    ``params(config, run)`` and the digests of the ``inputs`` artifacts decide
+    whether a recorded result is still fresh; ``fn(run)`` recomputes it.
+    """
+
+    name: str
+    params: Callable[[PipelineConfig, _Run], dict]
+    inputs: tuple[str, ...]
+    fn: Callable[[_Run], dict]
+
+
+_STAGE_TABLE = (
+    Stage("ingest", lambda c, run: {"format": c.corpus_format, "years": c.years},
+          (), _ingest),
+    Stage("classify", lambda c, run: {
+        "provider": [c.chat_provider.kind, c.chat_provider.model_id, c.chat_provider.temperature],
+        "template": _sha256(run.hwsw_template.system_text.encode("utf-8"))},
+          ("records.jsonl",), _classify),
+    Stage("embed", lambda c, run: {"provider": [c.embed_provider.kind, c.embed_provider.model_id]},
+          ("hardware.jsonl",), _embed),
+    Stage("cluster", lambda c, run: {
+        "k": c.k, "elbow_range": list(c.elbow_range), "restarts": c.restarts,
+        "max_iter": c.max_iter, "tol": c.tol, "normalize": c.normalize, "seed": c.seed},
+          ("embeddings.jsonl",), _cluster),
+    Stage("topics", lambda c, run: {
+        "r": c.r, "k": int(run.counts["cluster"]["k"]), "per_document": c.per_document,
+        "stopwords": sorted(run.stopwords), "blocklist": sorted(run.blocklist),
+        "provider": [c.chat_provider.kind, c.chat_provider.model_id]},
+          ("hardware.jsonl", "assignments.jsonl"), _topics),
+    Stage("representatives", lambda c, run: {
+        "m": c.m, "metric": c.metric, "normalize": c.normalize},
+          ("embeddings.jsonl", "cluster_model.json", "assignments.jsonl"), _representatives),
+    Stage("project", lambda c, run: {
+        "perplexity": c.perplexity, "iterations": c.tsne_iterations,
+        "learning_rate": c.learning_rate, "seed": c.seed, "normalize": c.normalize},
+          ("embeddings.jsonl", "assignments.jsonl"), _project),
+    Stage("report", lambda c, run: {"m": c.m},
+          ("ngram_profiles.json", "topic_summaries.json", "representatives.json",
+           "coords.jsonl", "classify_failures.jsonl"), _report),
+)
+
+STAGES = tuple(stage.name for stage in _STAGE_TABLE)
+
+
 def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
     """Run stages in order up to `until` (default: all) and return the manifest.
 
@@ -264,7 +503,6 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
     if until is not None and until not in STAGES:
         raise ValueError(f"unknown stage {until!r}")
     outdir = Path(config.output_dir)
-    last = STAGES.index(until) if until else len(STAGES) - 1
 
     if config.dry_run:
         records, rejects = _ingest_records(config)
@@ -278,294 +516,46 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
             "summarize_calls": config.k if config.k is not None else "chosen by elbow",
             "note": "no provider was contacted; counts bound the billable calls",
         }
-        outdir.mkdir(parents=True, exist_ok=True)
-        doc = _manifest_doc(config, None, planned=planned)
-        _write_manifest(outdir, doc)
-        return doc
+        return _write_manifest(config, [], planned=planned)
 
     with _Lock(outdir):
-        previous = None
         manifest_path = outdir / "manifest.json"
+        previous = {}
         if manifest_path.exists():
-            previous = json.loads(manifest_path.read_text(encoding="utf-8"))
-        runner = _StageRunner(outdir, previous)
-        cache = gateway.ResponseCache(config.cache_path)
-        terms_stop = _load_terms(config.stopwords_path, default_stopwords)
-        terms_block = _load_terms(config.blocklist_path, default_blocklist)
-        hwsw_template = classifier.load_template("hwsw", config.template_path)
-        sum_template = classifier.load_template("summarize")
-
+            doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+            previous = {s["name"]: s for s in doc.get("stages", [])}
+        run = _Run(config)
+        dirty = False
         try:
-            # -- ingest ------------------------------------------------------
-            def do_ingest():
-                records, rejects = _ingest_records(config)
-                outs = [
-                    _write(outdir / "records.jsonl", corpus.dump_records(records)),
-                    _write(outdir / "rejects.jsonl", ("\n".join(
-                        json.dumps({"index": r.index, "reason": r.reason, "raw": r.raw})
-                        for r in rejects) + ("\n" if rejects else "")).encode("utf-8")),
-                    _write(outdir / "yearly_counts.csv",
-                           reporting.growth_csv(corpus.yearly_counts(records)).encode("utf-8")),
-                ]
-                return {"ingested": len(records), "rejected": len(rejects)}, outs
-
-            runner.run(
-                "ingest",
-                {"format": config.corpus_format, "years": config.years},
-                [Path(p) for p in config.corpus_paths], do_ingest)
-            _write_manifest(outdir, _manifest_doc(config, runner))
-            if STAGES.index("ingest") == last:
-                return _finish(outdir, config, runner)
-
-            # -- classify ----------------------------------------------------
-            def do_classify():
-                records, _ = corpus.parse_records((outdir / "records.jsonl").read_bytes())
-                predictions, failures = classifier.classify_corpus(
-                    config.chat_provider, hwsw_template, records, cache=cache)
-                hardware = classifier.hardware_subset(records, predictions)
-                outs = [
-                    _write(outdir / "predictions.jsonl", classifier.dump_predictions(predictions)),
-                    _write(outdir / "classify_failures.jsonl", ("\n".join(
-                        json.dumps({"id": i, "reason": why}) for i, why in failures)
-                        + ("\n" if failures else "")).encode("utf-8")),
-                    _write(outdir / "hardware.jsonl", corpus.dump_records(hardware)),
-                ]
-                if not hardware:
-                    raise EmptyHardwareSet("no record was classified as hardware")
-                return {"predicted": len(predictions), "failures": len(failures),
-                        "hardware": len(hardware)}, outs
-
-            runner.run(
-                "classify",
-                {"provider": [config.chat_provider.kind, config.chat_provider.model_id,
-                              config.chat_provider.temperature],
-                 "template": _sha256(hwsw_template.system_text.encode("utf-8"))},
-                [outdir / "records.jsonl"], do_classify)
-            _write_manifest(outdir, _manifest_doc(config, runner))
-            if STAGES.index("classify") == last:
-                return _finish(outdir, config, runner)
-
-            # -- embed -------------------------------------------------------
-            def do_embed():
-                hardware, _ = corpus.parse_records((outdir / "hardware.jsonl").read_bytes())
-                matrix = vectors.embed_corpus(config.embed_provider, hardware, cache=cache)
-                outs = [_write(outdir / "embeddings.jsonl", vectors.dump_matrix(matrix))]
-                return {"rows": len(matrix), "dim": matrix.dim}, outs
-
-            runner.run(
-                "embed",
-                {"provider": [config.embed_provider.kind, config.embed_provider.model_id]},
-                [outdir / "hardware.jsonl"], do_embed)
-            _write_manifest(outdir, _manifest_doc(config, runner))
-            if STAGES.index("embed") == last:
-                return _finish(outdir, config, runner)
-
-            def load_matrix() -> vectors.EmbeddingMatrix:
-                matrix = vectors.load_matrix((outdir / "embeddings.jsonl").read_bytes())
-                return vectors.normalize_matrix(matrix) if config.normalize else matrix
-
-            # -- cluster -----------------------------------------------------
-            def do_cluster():
-                matrix = load_matrix()
-                n = len(matrix)
-                outs = []
-                if config.k is not None:
-                    chosen_k = config.k
+            for stage in _STAGE_TABLE[:STAGES.index(until) + 1 if until else None]:
+                input_digest = _digest_params({"params": stage.params(config, run),
+                                               "files": run.input_digests(stage)})
+                prev = previous.get(stage.name)
+                if (not dirty and prev is not None and prev.get("input_digest") == input_digest
+                        and run.outputs_fresh(prev)):
+                    record = dict(prev, status="cached")
                 else:
-                    k_min, k_max = config.elbow_range
-                    k_max = min(k_max, n - 1)
-                    curve = clustering.elbow_select(matrix, k_min, k_max, config.seed,
-                                                    config.restarts, config.max_iter, config.tol)
-                    chosen_k = curve.chosen_k
-                    outs.append(_write(outdir / "elbow.json", (json.dumps(
-                        {"k_values": curve.k_values, "wcss_values": curve.wcss_values,
-                         "chosen_k": curve.chosen_k}, sort_keys=True) + "\n").encode("utf-8")))
-                model = clustering.fit_best_of(matrix, chosen_k, config.seed,
-                                               config.restarts, config.max_iter, config.tol)
-                outs.append(_write(outdir / "cluster_model.json", clustering.dump_model(model)))
-                outs.append(_write(outdir / "assignments.jsonl",
-                                   clustering.dump_assignments(matrix.ids, model.assignments)))
-                return {"k": model.k, "wcss": model.wcss,
-                        "iterations": model.iterations}, outs
-
-            cluster_counts = runner.run(
-                "cluster",
-                {"k": config.k, "elbow_range": list(config.elbow_range),
-                 "restarts": config.restarts, "max_iter": config.max_iter,
-                 "tol": config.tol, "normalize": config.normalize, "seed": config.seed},
-                [outdir / "embeddings.jsonl"], do_cluster)
-            _write_manifest(outdir, _manifest_doc(config, runner))
-            if STAGES.index("cluster") == last:
-                return _finish(outdir, config, runner)
-
-            k_star = int(cluster_counts["k"])
-
-            # -- topics ------------------------------------------------------
-            def do_topics():
-                hardware, _ = corpus.parse_records((outdir / "hardware.jsonl").read_bytes())
-                assignments = clustering.load_assignments((outdir / "assignments.jsonl").read_bytes())
-                texts = [r.description for r in hardware]
-                labels = [assignments[r.id] for r in hardware]
-                profiles = topics.cluster_keywords(texts, labels, k_star, config.r,
-                                                   terms_block, terms_stop,
-                                                   per_document=config.per_document)
-                summaries, blocked = [], []
-                for profile in profiles:
-                    if not profile.entries:
-                        summaries.append({"cluster": profile.cluster, "label": None,
-                                          "keywords": [], "model": None})
-                        continue
-                    try:
-                        summary = topics.summarize_cluster(
-                            config.chat_provider, sum_template, profile,
-                            cache=cache, blocked=terms_block)
-                        summaries.append({"cluster": summary.cluster, "label": summary.label,
-                                          "keywords": list(summary.keywords_used),
-                                          "model": summary.model_id})
-                    except topics.BlockedTermInLabel as exc:
-                        blocked.append({"cluster": profile.cluster, "label": exc.label,
-                                        "term": exc.term})
-                        summaries.append({"cluster": profile.cluster, "label": None,
-                                          "keywords": profile.keywords, "model": None})
-                outs = [
-                    _write(outdir / "ngram_profiles.json", topics.dump_profiles(profiles)),
-                    _write(outdir / "topic_summaries.json", (json.dumps(
-                        summaries, indent=2, sort_keys=True) + "\n").encode("utf-8")),
-                    _write(outdir / "blocked_labels.json", (json.dumps(
-                        blocked, indent=2, sort_keys=True) + "\n").encode("utf-8")),
-                ]
-                return {"profiles": len(profiles), "blocked": len(blocked)}, outs
-
-            runner.run(
-                "topics",
-                {"r": config.r, "k": k_star, "per_document": config.per_document,
-                 "stopwords": sorted(terms_stop), "blocklist": sorted(terms_block),
-                 "provider": [config.chat_provider.kind, config.chat_provider.model_id]},
-                [outdir / "hardware.jsonl", outdir / "assignments.jsonl"], do_topics)
-            _write_manifest(outdir, _manifest_doc(config, runner))
-            if STAGES.index("topics") == last:
-                return _finish(outdir, config, runner)
-
-            # -- representatives ---------------------------------------------
-            def do_representatives():
-                matrix = load_matrix()
-                model = _load_model(outdir, matrix)
-                reps = clustering.representatives(matrix, model, config.m, config.metric)
-                outs = [_write(outdir / "representatives.json", (json.dumps(
-                    {str(c): ids for c, ids in sorted(reps.items())},
-                    indent=2, sort_keys=True) + "\n").encode("utf-8"))]
-                return {"clusters": len(reps), "m": config.m}, outs
-
-            runner.run(
-                "representatives",
-                {"m": config.m, "metric": config.metric, "normalize": config.normalize},
-                [outdir / "embeddings.jsonl", outdir / "cluster_model.json",
-                 outdir / "assignments.jsonl"], do_representatives)
-            _write_manifest(outdir, _manifest_doc(config, runner))
-            if STAGES.index("representatives") == last:
-                return _finish(outdir, config, runner)
-
-            # -- project -----------------------------------------------------
-            def do_project():
-                matrix = load_matrix()
-                n = len(matrix)
-                if n < 5:
-                    outs = [_write(outdir / "coords.jsonl", b"")]
-                    return {"skipped": f"{n} rows < 5"}, outs
-                eff = _effective_perplexity(config.perplexity, n)
-                params = projection.TsneParams(perplexity=eff,
-                                               iterations=config.tsne_iterations,
-                                               learning_rate=config.learning_rate)
-                result = projection.tsne(matrix, params, seed=config.seed)
-                assignments = clustering.load_assignments((outdir / "assignments.jsonl").read_bytes())
-                outs = [_write(outdir / "coords.jsonl", projection.dump_coords(result, assignments))]
-                return {"points": n, "perplexity": eff, "final_kl": result.final_kl}, outs
-
-            runner.run(
-                "project",
-                {"perplexity": config.perplexity, "iterations": config.tsne_iterations,
-                 "learning_rate": config.learning_rate, "seed": config.seed,
-                 "normalize": config.normalize},
-                [outdir / "embeddings.jsonl", outdir / "assignments.jsonl"], do_project)
-            _write_manifest(outdir, _manifest_doc(config, runner))
-            if STAGES.index("project") == last:
-                return _finish(outdir, config, runner)
-
-            # -- report ------------------------------------------------------
-            def do_report():
-                profiles = topics.load_profiles((outdir / "ngram_profiles.json").read_bytes())
-                summaries_doc = json.loads((outdir / "topic_summaries.json").read_text(encoding="utf-8"))
-                summaries = [topics.TopicSummary(cluster=s["cluster"],
-                                                 label=s["label"] or "(needs review)",
-                                                 keywords_used=tuple(s["keywords"]),
-                                                 model_id=s["model"] or "")
-                             for s in summaries_doc]
-                reps_doc = json.loads((outdir / "representatives.json").read_text(encoding="utf-8"))
-                reps = {int(c): ids for c, ids in reps_doc.items()}
-                blocked_doc = json.loads((outdir / "blocked_labels.json").read_text(encoding="utf-8"))
-                failures = []
-                for line in (outdir / "classify_failures.jsonl").read_text(encoding="utf-8").splitlines():
-                    if line.strip():
-                        obj = json.loads(line)
-                        failures.append((obj["id"], obj["reason"]))
-
-                outs = [
-                    _write(outdir / "topic_table.md",
-                           reporting.topic_table(profiles, summaries).encode("utf-8")),
-                    _write(outdir / "representatives.md",
-                           reporting.representatives_table(reps).encode("utf-8")),
-                    _write(outdir / "review_queue.json", reporting.review_export(
-                        failures,
-                        [(b["cluster"], b["label"], b["term"]) for b in blocked_doc]).encode("utf-8")),
-                ]
-                for profile in profiles:
-                    if not profile.entries:
-                        continue
-                    outs.append(_write(outdir / f"term_weights_{profile.cluster}.json",
-                                       reporting.term_weights(profile).encode("utf-8")))
-                    outs.append(_write(outdir / f"wordcloud_{profile.cluster}.svg",
-                                       reporting.wordcloud_grid_svg(profile)))
-                coords_data = (outdir / "coords.jsonl").read_bytes()
-                if coords_data.strip():
-                    ids, xy, cluster_by_id = [], [], {}
-                    for line in coords_data.decode("utf-8").splitlines():
-                        obj = json.loads(line)
-                        ids.append(obj["id"])
-                        xy.append((obj["x"], obj["y"]))
-                        cluster_by_id[obj["id"]] = obj["cluster"]
-                    proj = projection.ProjectionResult(
-                        ids=ids, coords=np.array(xy), seed=config.seed,
-                        params=projection.TsneParams(), final_kl=0.0)
-                    legend = {s.cluster: s.label for s in summaries}
-                    outs.append(_write(outdir / "scatter.svg",
-                                       reporting.scatter_svg(proj, cluster_by_id, legend)))
-                return {"artifacts": len(outs)}, outs
-
-            runner.run(
-                "report",
-                {"m": config.m},
-                [outdir / "ngram_profiles.json", outdir / "topic_summaries.json",
-                 outdir / "representatives.json", outdir / "coords.jsonl",
-                 outdir / "classify_failures.jsonl"], do_report)
-            return _finish(outdir, config, runner)
+                    dirty = True
+                    run.outputs = {}
+                    started = _utcnow()
+                    t0 = time.perf_counter()
+                    counts = stage.fn(run)
+                    record = {"name": stage.name, "status": "computed",
+                              "input_digest": input_digest, "outputs": run.outputs,
+                              "counts": counts, "started_at": started,
+                              "duration_s": round(time.perf_counter() - t0, 6)}
+                    for rel in (prev or {}).get("outputs", {}):
+                        # flat names only: a hand-edited manifest must not reach outside
+                        if rel not in run.outputs and Path(rel).name == rel:
+                            (outdir / rel).unlink(missing_ok=True)
+                run.stages.append(record)
+                run.counts[stage.name] = record["counts"]
+                run.digests.update(record["outputs"])
+                if record["status"] == "computed":
+                    _write_manifest(config, run.stages)
         finally:
-            _write_manifest(outdir, _manifest_doc(config, runner))
-
-
-def _finish(outdir: Path, config: PipelineConfig, runner: _StageRunner) -> dict:
-    doc = _manifest_doc(config, runner)
-    _write_manifest(outdir, doc)
-    return doc
-
-
-def _load_model(outdir: Path, matrix: vectors.EmbeddingMatrix) -> clustering.ClusterModel:
-    doc = json.loads((outdir / "cluster_model.json").read_text(encoding="utf-8"))
-    assignments_map = clustering.load_assignments((outdir / "assignments.jsonl").read_bytes())
-    assignments = np.array([assignments_map[i] for i in matrix.ids], dtype=np.int64)
-    return clustering.ClusterModel(
-        k=int(doc["k"]), centroids=np.array(doc["centroids"], dtype=np.float64),
-        assignments=assignments, wcss=float(doc["wcss"]), seed=doc["seed"],
-        iterations=int(doc["iterations"]), converged=bool(doc["converged"]))
+            doc = _write_manifest(config, run.stages)
+        return doc
 
 
 def run_validate(config: PipelineConfig, fixture_paths: list[str]) -> classifier.ValidationReport:

@@ -56,7 +56,8 @@ def test_records_plus_rejects_equals_entries():
 
 
 def test_round_trip_canonical():
-    descriptions = ['quote " inside', "newline\nin text", "unicode café — dash", "plain"]
+    descriptions = ['quote " inside', "newline\nin text", "unicode café — dash", "plain",
+                    "line\u2028separator", "paragraph\u2029separator", "next\x85line"]
     records = [corpus.make_record(f"CVE-2021-{1000+i}", d, "rt") for i, d in enumerate(descriptions)]
     reparsed, rejects = corpus.parse_records(corpus.dump_records(records))
     assert rejects == []

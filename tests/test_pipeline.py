@@ -8,7 +8,7 @@ from cveminer.assets import fixture_bytes
 from cveminer.cli import main as cli_main
 from cveminer.errors import (EmptyHardwareSet, MissingDescriptions,
                              OutputDirLocked)
-from cveminer.pipeline import PipelineConfig, run_pipeline, run_validate
+from cveminer.pipeline import STAGES, PipelineConfig, run_pipeline, run_validate
 
 
 def write_config(tmp_path, **overrides):
@@ -114,6 +114,46 @@ def test_pipeline_param_change_invalidates_downstream(tmp_path):
     assert status["ingest"] == "cached"
     assert status["topics"] == "cached"
     assert status["representatives"] == "computed"
+
+
+def test_pipeline_smaller_k_leaves_no_stale_outputs(tmp_path):
+    elbow_dir = tmp_path / "out"
+    manifest = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    old_k = {s["name"]: s["counts"] for s in manifest["stages"]}["cluster"]["k"]
+    assert old_k > 2 and (elbow_dir / "elbow.json").exists()
+
+    run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, **{"clustering.k": 2})))
+    assert not (elbow_dir / "elbow.json").exists()
+    for j in range(2, old_k):
+        assert not (elbow_dir / f"term_weights_{j}.json").exists()
+        assert not (elbow_dir / f"wordcloud_{j}.svg").exists()
+    fresh = write_config(tmp_path, output_dir=str(tmp_path / "fresh"),
+                         cache_path=str(tmp_path / "fresh_cache.jsonl"), **{"clustering.k": 2})
+    run_pipeline(PipelineConfig.from_dict(fresh))
+    assert tree_bytes(elbow_dir) == tree_bytes(tmp_path / "fresh")
+
+
+def test_pipeline_split_runs_match_one_shot(tmp_path):
+    split = PipelineConfig.from_dict(write_config(tmp_path))
+    for name in STAGES:
+        run_pipeline(split, until=name)
+    one_shot = write_config(tmp_path, output_dir=str(tmp_path / "one_shot"),
+                            cache_path=str(tmp_path / "one_shot_cache.jsonl"))
+    run_pipeline(PipelineConfig.from_dict(one_shot))
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "one_shot")
+    assert stripped_manifest(tmp_path / "out") == stripped_manifest(tmp_path / "one_shot")
+
+
+def test_pipeline_cached_rerun_never_opens_response_cache(tmp_path, monkeypatch):
+    config = PipelineConfig.from_dict(write_config(tmp_path))
+    run_pipeline(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fully cached run must not load the response cache")
+
+    monkeypatch.setattr(gateway, "ResponseCache", refuse)
+    manifest = run_pipeline(config)
+    assert [s["status"] for s in manifest["stages"]] == ["cached"] * 8
 
 
 def test_pipeline_empty_hardware_set(tmp_path):
@@ -256,6 +296,13 @@ def test_cli_stage_subcommand(tmp_path):
     assert code == 0
     assert (tmp_path / "out" / "predictions.jsonl").exists()
     assert not (tmp_path / "out" / "embeddings.jsonl").exists()
+
+
+def test_cli_representatives_subcommand(tmp_path):
+    code = cli_main(["representatives", "--config", str(_config_file(tmp_path))])
+    assert code == 0
+    assert (tmp_path / "out" / "representatives.json").exists()
+    assert not (tmp_path / "out" / "coords.jsonl").exists()
 
 
 def test_cli_dotted_override(tmp_path):
