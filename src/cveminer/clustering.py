@@ -7,6 +7,14 @@ permuting the input rows permutes the assignments identically.
 
 Ties anywhere (nearest centroid, farthest point, elbow second differences)
 break toward the smallest index, for reproducibility.
+
+The canonical rows and their squared norms are computed once per matrix and
+shared by every restart of an elbow scan or a best-of fit.  K-means++ updates
+D^2 with one GEMV per chosen row, and each Lloyd iteration costs one GEMM for
+the distances and one for the centroid sums.  Each fit ends with an exact
+recompute of its centroids and objective from the final assignment, so the
+objectives that pick between restarts (and with them the labels) do not
+depend on the expanded-form rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import KTooLarge, RangeError
 from .vectors import EmbeddingMatrix
@@ -42,15 +49,53 @@ class ElbowCurve:
     chosen_k: int
 
 
-def _canonical_order(matrix: EmbeddingMatrix) -> np.ndarray:
-    return np.argsort(np.array(matrix.ids))
+@dataclass(frozen=True)
+class _Canonical:
+    """A matrix's rows in id-sorted order, with their squared norms."""
+
+    order: np.ndarray      # canonical position -> matrix row
+    rows: np.ndarray       # (n, dim), C-contiguous
+    sq_norms: np.ndarray   # (n,)
 
 
-def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return cdist(rows, centroids, metric="sqeuclidean")
+def _canonical(matrix: EmbeddingMatrix) -> _Canonical:
+    order = np.argsort(np.array(matrix.ids))
+    rows = matrix.rows[order]
+    return _Canonical(order, rows, np.einsum("ij,ij->i", rows, rows))
 
 
-def kmeanspp_init(matrix: EmbeddingMatrix, k: int, seed: int) -> np.ndarray:
+# The expanded form ||r||^2 + ||c||^2 - 2 r.c is cheap (one GEMV/GEMM) but
+# carries rounding of about eps * (||r||^2 + ||c||^2).  Wherever a decision
+# hinges on a gap smaller than NEAR_TIE times that scale (a distance close to
+# zero, two centroids almost equally near), the distances are recomputed
+# directly, so exact duplicates and exact ties behave as with direct sums.
+NEAR_TIE = 1e-9
+
+
+def _sq_distances_to_row(canon: _Canonical, i: int) -> np.ndarray:
+    rows, sq = canon.rows, canon.sq_norms
+    d2 = np.maximum(sq + sq[i] - 2.0 * (rows @ rows[i]), 0.0)
+    near = np.flatnonzero(d2 <= NEAR_TIE * (sq + sq[i]))
+    d2[near] = np.sum((rows[near] - rows[i]) ** 2, axis=1)
+    return d2
+
+
+def _nearest_centroid(canon: _Canonical, centroids: np.ndarray) -> np.ndarray:
+    rows, sq = canon.rows, canon.sq_norms
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = np.maximum(sq[:, None] + c_sq - 2.0 * (rows @ centroids.T), 0.0)
+    assign = np.argmin(d2, axis=1)  # ties resolve to the smallest index
+    if len(centroids) > 1:
+        two = np.partition(d2, 1, axis=1)[:, :2]
+        near = np.flatnonzero(two[:, 1] - two[:, 0] <= NEAR_TIE * (sq + c_sq.max()))
+        if near.size:
+            exact = np.sum((rows[near, None, :] - centroids) ** 2, axis=2)
+            assign[near] = np.argmin(exact, axis=1)
+    return assign
+
+
+def kmeanspp_init(matrix: EmbeddingMatrix, k: int, seed: int,
+                  _canon: _Canonical | None = None) -> np.ndarray:
     """Seeded K-means++ seeding: D^2-weighted sampling of k rows.
 
     Returns the (k, dim) array of chosen rows.  Deterministic for a given
@@ -61,12 +106,11 @@ def kmeanspp_init(matrix: EmbeddingMatrix, k: int, seed: int) -> np.ndarray:
         raise ValueError("k must be >= 1")
     if k > n:
         raise KTooLarge(f"k={k} exceeds row count {n}")
-    order = _canonical_order(matrix)
-    rows = matrix.rows[order]
+    canon = _canon if _canon is not None else _canonical(matrix)
     rng = np.random.default_rng(seed)
 
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((rows - rows[chosen[0]]) ** 2, axis=1)
+    d2 = _sq_distances_to_row(canon, chosen[0])
     d2[chosen[0]] = 0.0
     for _ in range(1, k):
         total = float(d2.sum())
@@ -81,9 +125,9 @@ def kmeanspp_init(matrix: EmbeddingMatrix, k: int, seed: int) -> np.ndarray:
             remaining = sorted(set(range(n)) - set(chosen))
             idx = remaining[0]
         chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((rows - rows[idx]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_distances_to_row(canon, idx))
         d2[idx] = 0.0
-    return rows[chosen].copy()
+    return canon.rows[chosen]
 
 
 def _repair_empty(assign: np.ndarray, point_d2: np.ndarray, k: int) -> None:
@@ -105,21 +149,25 @@ def _repair_empty(assign: np.ndarray, point_d2: np.ndarray, k: int) -> None:
 
 
 def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
-          max_iter: int = 300, tol: float = 1e-6, seed: int | None = None) -> ClusterModel:
+          max_iter: int = 300, tol: float = 1e-6, seed: int | None = None,
+          _canon: _Canonical | None = None) -> ClusterModel:
     """Alternate assignment/update steps until the objective stalls.
 
-    The recorded per-iteration objective is computed after each centroid
-    update and never increases.  Post-convergence, every centroid equals
-    the mean of its assigned rows and `wcss` equals the recomputed total
-    squared distance.
+    Each iteration takes its distances from one GEMM and its centroid sums
+    from one pass; the recorded per-iteration objective, computed from the
+    squared norms after each centroid update, never increases.  The returned
+    centroids and `wcss` are recomputed from the final assignment directly
+    (per-cluster mean, then the total squared distance), so every centroid
+    equals the mean of its assigned rows and `wcss` the exact objective.
     """
     init_centroids = np.asarray(init_centroids, dtype=np.float64)
     if init_centroids.ndim != 2 or init_centroids.shape[1] != matrix.dim:
         raise ValueError(f"init centroids shape {init_centroids.shape} does not match dim {matrix.dim}")
     k = init_centroids.shape[0]
     n = len(matrix)
-    order = _canonical_order(matrix)
-    rows = matrix.rows[order]
+    canon = _canon if _canon is not None else _canonical(matrix)
+    rows = canon.rows
+    total_sq = float(canon.sq_norms.sum())
 
     centroids = init_centroids.copy()
     history: list[float] = []
@@ -127,41 +175,51 @@ def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
     converged = False
     iterations = 0
     assign = np.zeros(n, dtype=np.int64)
+    columns = np.arange(n)
 
     for iterations in range(1, max_iter + 1):
-        d2 = _sq_distances(rows, centroids)
-        assign = np.argmin(d2, axis=1)  # ties resolve to the smallest index
-        _repair_empty(assign, d2[np.arange(n), assign], k)
+        assign = _nearest_centroid(canon, centroids)
+        counts = np.bincount(assign, minlength=k)
+        if not counts.all():
+            _repair_empty(assign, np.sum((rows - centroids[assign]) ** 2, axis=1), k)
+            counts = np.bincount(assign, minlength=k)
 
-        centroids = np.vstack([rows[assign == j].mean(axis=0) for j in range(k)])
-        wcss = float(np.sum((rows - centroids[assign]) ** 2))
+        members = np.zeros((k, n))
+        members[assign, columns] = 1.0
+        sums = members @ rows  # every centroid sum in one pass over the rows
+        centroids = sums / counts[:, None]
+        wcss = max(total_sq - float(np.sum(np.einsum("ij,ij->i", sums, sums) / counts)), 0.0)
         history.append(wcss)
         if prev < np.inf:
             improvement = (prev - wcss) / prev if prev > 0.0 else 0.0
             if improvement < tol:
                 converged = True
-                prev = wcss
                 break
         prev = wcss
 
+    centroids = np.vstack([rows[assign == j].mean(axis=0) for j in range(k)])
+    wcss = float(np.sum((rows - centroids[assign]) ** 2))
+    if history:
+        history[-1] = wcss
     assignments = np.empty(n, dtype=np.int64)
-    assignments[order] = assign
-    return ClusterModel(k=k, centroids=centroids, assignments=assignments,
-                        wcss=prev if prev < np.inf else float(history[-1]),
+    assignments[canon.order] = assign
+    return ClusterModel(k=k, centroids=centroids, assignments=assignments, wcss=wcss,
                         seed=seed, iterations=iterations, converged=converged,
                         wcss_history=history)
 
 
 def fit_best_of(matrix: EmbeddingMatrix, k: int, seed: int, restarts: int = 8,
-                max_iter: int = 300, tol: float = 1e-6) -> ClusterModel:
+                max_iter: int = 300, tol: float = 1e-6,
+                _canon: _Canonical | None = None) -> ClusterModel:
     """Best of `restarts` seeded runs (seeds seed, seed+1, ...) by objective."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    canon = _canon if _canon is not None else _canonical(matrix)
     best: ClusterModel | None = None
     for i in range(restarts):
         run_seed = seed + i
-        model = lloyd(matrix, kmeanspp_init(matrix, k, run_seed),
-                      max_iter=max_iter, tol=tol, seed=run_seed)
+        model = lloyd(matrix, kmeanspp_init(matrix, k, run_seed, _canon=canon),
+                      max_iter=max_iter, tol=tol, seed=run_seed, _canon=canon)
         if best is None or model.wcss < best.wcss:
             best = model
     return best
@@ -194,7 +252,8 @@ def elbow_select(matrix: EmbeddingMatrix, k_min: int, k_max: int, seed: int,
     if k_max - k_min < 2:
         raise RangeError("elbow scan needs at least 3 k values")
     k_values = list(range(k_min, k_max + 1))
-    wcss_values = [fit_best_of(matrix, k, seed, restarts, max_iter, tol).wcss
+    canon = _canonical(matrix)
+    wcss_values = [fit_best_of(matrix, k, seed, restarts, max_iter, tol, _canon=canon).wcss
                    for k in k_values]
     return ElbowCurve(k_values=k_values, wcss_values=wcss_values,
                       chosen_k=choose_elbow(k_values, wcss_values))

@@ -29,8 +29,8 @@ CVE_ID_RE = re.compile(r"^CVE-(\d{4})-(\d{4,7})$")
 # hyphen, en dash, minus sign, ...); normalized to ASCII before validation.
 _HYPHEN_VARIANTS = dict.fromkeys("‐‑‒–—−", "-")
 
-# Characters str.splitlines breaks at that json.dumps(ensure_ascii=False)
-# leaves raw; dump_records escapes them so its lines parse back.
+# Line breaks other than "\n" that json.dumps(ensure_ascii=False) leaves raw;
+# dump_records escapes them so its lines stay whole for line-oriented tools.
 _RAW_LINE_BREAKS = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
 
 PARSE_FORMATS = ("canonical-jsonl", "nvd-feed")
@@ -101,7 +101,8 @@ def _parse_canonical(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
     records: list[CveRecord] = []
     rejects: list[RejectEntry] = []
     index = 0
-    for line in text.splitlines():
+    for line in text.split("\n"):  # records may hold raw U+0085, U+2028, U+2029
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         index += 1

@@ -6,6 +6,11 @@ endpoint (input text in, float array out).  The bearer token comes from the
 ``LLM_API_KEY`` environment variable; endpoint and model always come from
 the config.
 
+``run_batch`` dispatches each distinct input once, from at most
+``max_parallel`` workers (the calling thread is one) that pull the next
+index from a shared iterator.  Answers go to ``ResponseCache``, a jsonl
+file opened once for appending and flushed after every line.
+
 Mock providers make the whole pipeline runnable offline and are pure
 functions of (model_id, input text):
 
@@ -34,7 +39,6 @@ import re
 import threading
 import time
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -122,14 +126,28 @@ def cache_key(kind: str, model_id: str, text: str) -> str:
 
 
 class ResponseCache:
-    """Append-only jsonl store keyed by digest; safe for threaded use."""
+    """Append-only jsonl store keyed by digest; safe for threaded use.
+
+    Lines are split on ``"\\n"`` only, so a value holding U+2028, U+2029 or
+    U+0085 (written raw by ``ensure_ascii=False``) loads back intact.  A last
+    line without its newline is the torn tail of an interrupted append: it is
+    ignored and cut off before the next append.  The append handle is opened
+    once, on the first ``put``; every put then writes and flushes one line
+    under the lock.  ``close`` releases the handle; a later put reopens it.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, object] = {}
+        self._fh = None
+        self._truncate_to = None  # end of the last complete line, when a torn tail follows
         if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
+            data = self.path.read_bytes()
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):
+                self._truncate_to = complete
+            for line in data[:complete].decode("utf-8").split("\n"):
                 if not line.strip():
                     continue
                 obj = json.loads(line)
@@ -149,11 +167,21 @@ class ResponseCache:
         with self._lock:
             if key in self._entries:
                 return
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                if self._truncate_to is not None:
+                    os.truncate(self.path, self._truncate_to)
+                    self._truncate_to = None
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.write(line + "\n")
+            self._fh.flush()
             self._entries[key] = value
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 # --- mock providers ---------------------------------------------------------
@@ -388,23 +416,51 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
 
     The result list is index-aligned with the inputs regardless of
     completion order; a failing item carries its error instead of aborting
-    the batch.  At most config.max_parallel requests are in flight at once.
+    the batch.  Each distinct input is dispatched once and its result (or
+    error) is given to every index that repeats it, so duplicates are never
+    billed twice.  ``min(max_parallel, distinct inputs)`` workers, the
+    calling thread among them, pull the next index from a shared iterator,
+    so at most config.max_parallel requests are in flight at once and
+    ``max_parallel=1`` runs on the calling thread alone.
     """
     if not inputs:
         raise ValueError("run_batch needs at least one input")
     if op not in ("complete", "embed"):
         raise ValueError(f"unknown batch op {op!r}")
     fn = complete if op == "complete" else embed
-
-    def worker(i: int) -> BatchItem:
-        try:
-            return BatchItem(i, value=fn(config, inputs[i], cache=cache,
-                                         backoff_base=backoff_base, sleep=sleep))
-        except Exception as exc:  # per-item isolation
-            return BatchItem(i, error=exc)
-
+    first: dict[str, int] = {}  # input -> index of its first occurrence
+    for i, text in enumerate(inputs):
+        first.setdefault(text, i)
     items: list[BatchItem | None] = [None] * len(inputs)
-    with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
-        for item in pool.map(worker, range(len(inputs))):
-            items[item.index] = item
+    pending = iter(first.values())
+    pending_lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with pending_lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                items[i] = BatchItem(i, value=fn(config, inputs[i], cache=cache,
+                                                 backoff_base=backoff_base, sleep=sleep))
+            except Exception as exc:  # per-item isolation
+                items[i] = BatchItem(i, error=exc)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(config.max_parallel, len(first)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        with pending_lock:  # on an interrupt, helpers stop after their current item
+            for _ in pending:
+                pass
+        for thread in helpers:
+            thread.join()
+    for i, text in enumerate(inputs):
+        if items[i] is None:
+            dispatched = items[first[text]]
+            items[i] = BatchItem(i, value=dispatched.value, error=dispatched.error)
     return items  # type: ignore[return-value]

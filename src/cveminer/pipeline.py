@@ -9,7 +9,9 @@ re-run, a stage whose inputs and existing outputs match the previous
 manifest is skipped; the first stage that must recompute forces all later
 stages to recompute as well.  A recomputed stage deletes every file of its
 previous record that it no longer writes, so a parameter change (a smaller
-K, say) leaves none of the earlier run's artifacts behind.
+K, say) leaves none of the earlier run's artifacts behind.  A run cut short
+by ``until`` keeps the previous records of the stages it did not reach, since
+their files stay on disk.
 
 Each consumed artifact is parsed at most once per run, and not at all when
 its producer computed in the same run: the value is handed forward, which is
@@ -18,7 +20,8 @@ exact because every artifact format round-trips bit for bit.
 An output directory is guarded by a lock file; two runs may not share one.
 The response cache lives at its own configured path (outside the artifact
 tree), so re-runs never re-bill completed provider calls.  It is opened only
-when a stage computes, so a fully cached re-run never loads it.
+when a stage computes, so a fully cached re-run never loads it, and closed
+when the run ends.
 """
 
 from __future__ import annotations
@@ -553,7 +556,14 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
                 run.digests.update(record["outputs"])
                 if record["status"] == "computed":
                     _write_manifest(config, run.stages)
+            if until is not None:
+                # later stages' files stay on disk, so keep their records: the
+                # next run can then reuse them, or delete what they no longer write
+                run.stages.extend(previous[name] for name in STAGES[STAGES.index(until) + 1:]
+                                  if name in previous)
         finally:
+            if "cache" in vars(run):
+                run.cache.close()
             doc = _write_manifest(config, run.stages)
         return doc
 
@@ -589,8 +599,11 @@ def run_validate(config: PipelineConfig, fixture_paths: list[str]) -> classifier
 
     cache = gateway.ResponseCache(config.cache_path)
     template = classifier.load_template("hwsw", config.template_path)
-    predictions, failures = classifier.classify_corpus(
-        config.chat_provider, template, [lc.record for lc in labeled], cache=cache)
+    try:
+        predictions, failures = classifier.classify_corpus(
+            config.chat_provider, template, [lc.record for lc in labeled], cache=cache)
+    finally:
+        cache.close()
     if failures:
         raise CveMinerError(f"{len(failures)} records failed classification: {failures[:3]}")
     report = classifier.evaluate(predictions, labeled)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from conftest import blob_matrix, label_purity, random_matrix
-from cveminer.clustering import (ClusterModel, choose_elbow, elbow_select,
-                                 fit_best_of, kmeanspp_init, lloyd,
+from cveminer.clustering import (ClusterModel, _repair_empty, choose_elbow,
+                                 elbow_select, fit_best_of, kmeanspp_init, lloyd,
                                  representatives)
 from cveminer.errors import KTooLarge, RangeError
 from cveminer.vectors import EmbeddingMatrix
@@ -157,6 +158,106 @@ def test_permuting_rows_permutes_assignments():
         return {frozenset(g) for g in groups.values()}
 
     assert partition(m, base) == partition(shuffled, other)
+
+
+# -- reference: K-means++ and Lloyd with direct distances and per-iteration
+# mask means, which the GEMM kernels must reproduce bit for bit ---------------
+
+def _oracle_kmeanspp(matrix, k, seed):
+    n = len(matrix)
+    rows = matrix.rows[np.argsort(np.array(matrix.ids))]
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((rows - rows[chosen[0]]) ** 2, axis=1)
+    d2[chosen[0]] = 0.0
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            u = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
+            while d2[idx] == 0.0:
+                idx = (idx + 1) % n
+        else:
+            idx = sorted(set(range(n)) - set(chosen))[0]
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((rows - rows[idx]) ** 2, axis=1))
+        d2[idx] = 0.0
+    return rows[chosen].copy()
+
+
+def _oracle_lloyd(matrix, init_centroids, max_iter=300, tol=1e-6):
+    k, n = init_centroids.shape[0], len(matrix)
+    order = np.argsort(np.array(matrix.ids))
+    rows = matrix.rows[order]
+    centroids = init_centroids.copy()
+    prev, converged, iterations = np.inf, False, 0
+    for iterations in range(1, max_iter + 1):
+        d2 = cdist(rows, centroids, metric="sqeuclidean")
+        assign = np.argmin(d2, axis=1)
+        _repair_empty(assign, d2[np.arange(n), assign], k)
+        centroids = np.vstack([rows[assign == j].mean(axis=0) for j in range(k)])
+        wcss = float(np.sum((rows - centroids[assign]) ** 2))
+        if prev < np.inf:
+            improvement = (prev - wcss) / prev if prev > 0.0 else 0.0
+            if improvement < tol:
+                converged = True
+                prev = wcss
+                break
+        prev = wcss
+    assignments = np.empty(n, dtype=np.int64)
+    assignments[order] = assign
+    return assignments, centroids, prev, iterations, converged
+
+
+def _shuffled(matrix, seed):
+    perm = np.random.default_rng(seed).permutation(len(matrix))
+    return EmbeddingMatrix(ids=[matrix.ids[i] for i in perm], rows=matrix.rows[perm],
+                           dim=matrix.dim, model_id=matrix.model_id)
+
+
+def _with_duplicates(seed):
+    rows = np.random.default_rng(seed).normal(size=(30, 4))
+    return matrix_from_rows(np.vstack([rows, rows[:10], rows[:5], rows[:1]]))
+
+
+@pytest.mark.parametrize("kind", ["normal", "blobs", "duplicates"])
+def test_kernels_match_direct_reference_bit_for_bit(kind):
+    for seed in range(20):
+        if kind == "normal":
+            base = random_matrix(300 + seed, 120, 24)
+        elif kind == "blobs":
+            base = blob_matrix(300 + seed, n_per_blob=25, n_blobs=4, dim=16, sigma=0.3)[0]
+        else:
+            base = _with_duplicates(300 + seed)
+        matrix = _shuffled(base, seed)
+        for k in (1, 2, 4, 7):
+            init = kmeanspp_init(matrix, k, seed)
+            assert init.tobytes() == _oracle_kmeanspp(matrix, k, seed).tobytes()
+            model = lloyd(matrix, init)
+            assignments, centroids, wcss, iterations, converged = _oracle_lloyd(matrix, init)
+            assert np.array_equal(model.assignments, assignments), (kind, seed, k)
+            assert model.centroids.tobytes() == centroids.tobytes()
+            assert model.wcss == wcss and model.wcss_history[-1] == wcss
+            assert (model.iterations, model.converged) == (iterations, converged)
+
+
+def test_elbow_scan_matches_direct_reference():
+    for seed in range(5):
+        matrix = _shuffled(blob_matrix(400 + seed, n_per_blob=20, n_blobs=4, dim=8,
+                                       sigma=0.3)[0], seed)
+        curve = elbow_select(matrix, 2, 6, seed=seed, restarts=3)
+        expected = [min(_oracle_lloyd(matrix, _oracle_kmeanspp(matrix, k, seed + i))[2]
+                        for i in range(3))
+                    for k in range(2, 7)]
+        assert curve.wcss_values == expected
+
+
+def test_kmeanspp_never_picks_a_duplicate_of_a_chosen_row():
+    rows = np.vstack([np.eye(3)] * 4)  # three distinct points, four copies each
+    matrix = matrix_from_rows(rows)
+    for seed in range(20):
+        chosen = kmeanspp_init(matrix, 3, seed)
+        assert sorted(map(tuple, chosen)) == sorted(map(tuple, np.eye(3)))
 
 
 def test_choose_elbow_stated_curve():

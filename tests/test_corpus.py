@@ -64,6 +64,17 @@ def test_round_trip_canonical():
     assert reparsed == records
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_parse_canonical_keeps_raw_line_break_inside_description(separator):
+    # json.dumps(ensure_ascii=False) leaves these raw; only "\n" ends a line
+    lines = [json.dumps({"id": "CVE-2021-1000", "description": f"first{separator}second",
+                         "source": "t"}, ensure_ascii=False),
+             json.dumps({"id": "CVE-2021-1001", "description": "plain", "source": "t"})]
+    records, rejects = corpus.parse_records("\r\n".join(lines).encode("utf-8"))
+    assert rejects == []
+    assert [r.description for r in records] == [f"first{separator}second", "plain"]
+
+
 def test_parse_not_utf8():
     with pytest.raises(DecodeError):
         corpus.parse_records(b"\xff\xfe\x00bad")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -42,11 +43,56 @@ def test_response_cache_round_trip(tmp_path):
     cache = ResponseCache(path)
     cache.put("k1", "chat", "m", "hello")
     cache.put("k2", "embed", "m", [1.0, 2.5])
+    cache.close()
     reloaded = ResponseCache(path)
     assert reloaded.get("k1") == "hello"
     assert reloaded.get("k2") == [1.0, 2.5]
     assert reloaded.get("missing") is None
     assert len(reloaded) == 2
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_response_cache_reloads_raw_line_separators(tmp_path, separator):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k1", "chat", "m", f"first{separator}second")
+    cache.put("k2", "chat", "m", "plain")
+    cache.close()
+    assert separator in path.read_text(encoding="utf-8")  # written raw, not escaped
+    reloaded = ResponseCache(path)
+    assert reloaded.get("k1") == f"first{separator}second"
+    assert reloaded.get("k2") == "plain"
+
+
+def test_response_cache_cuts_torn_last_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k1", "chat", "m", "hello")  # each put is flushed
+    intact = path.read_bytes()
+    with open(path, "ab") as fh:  # an append interrupted mid-line
+        fh.write(b'{"key": "k2", "kind": "chat", "mo')
+    cache.close()
+
+    reloaded = ResponseCache(path)
+    assert reloaded.get("k1") == "hello" and len(reloaded) == 1
+    reloaded.put("k3", "chat", "m", "again")
+    reloaded.close()
+    assert path.read_bytes().startswith(intact)
+    assert b'"mo{' not in path.read_bytes()
+    final = ResponseCache(path)
+    assert final.get("k1") == "hello" and final.get("k3") == "again" and len(final) == 2
+
+
+def test_response_cache_put_after_close_reopens(tmp_path):
+    path = tmp_path / "sub" / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k1", "chat", "m", "one")
+    cache.close()
+    cache.close()  # idempotent
+    cache.put("k2", "chat", "m", "two")
+    cache.close()
+    assert len(path.read_text(encoding="utf-8").split("\n")) == 3  # two lines, final newline
+    assert ResponseCache(path).get("k2") == "two"
 
 
 def test_mock_chat_keyword_rule():
@@ -80,6 +126,7 @@ def test_complete_warm_cache_short_circuits(tmp_path, chat_config, monkeypatch):
     assert second.text == first.text
     assert second.cached is True and second.attempts == 0
     assert calls == []  # zero provider invocations
+    cache.close()
 
 
 def test_cache_cold_equals_warm_bytes(tmp_path, chat_config, embed_config):
@@ -92,6 +139,7 @@ def test_cache_cold_equals_warm_bytes(tmp_path, chat_config, embed_config):
     vec_cold = embed(embed_config, "some text", cache=cache, sleep=NO_SLEEP)
     vec_warm = embed(embed_config, "some text", cache=cache, sleep=NO_SLEEP)
     assert vec_cold.values.tobytes() == vec_warm.values.tobytes()
+    cache.close()
 
 
 def test_mock_embed_dimension_and_norm(embed_config):
@@ -180,6 +228,92 @@ def test_run_batch_parallelism_bound(monkeypatch):
     monkeypatch.setattr(gateway, "mock_chat_reply", tracking_reply)
     run_batch(config, [f"DESC: item {i}" for i in range(12)], op="complete", sleep=NO_SLEEP)
     assert 1 <= state["peak"] <= 3
+
+
+def test_run_batch_bills_duplicate_inputs_once(tmp_path, monkeypatch):
+    # two workers that both miss the cache for one input would both reach
+    # the provider; the barrier holds the first caller until a second arrives
+    config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", max_parallel=2)
+    cache = ResponseCache(tmp_path / "c.jsonl")
+    barrier = threading.Barrier(2)
+    calls = []
+    real = gateway.mock_chat_reply
+
+    def gated_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+        calls.append(prompt)
+        try:
+            barrier.wait(timeout=0.5)
+        except threading.BrokenBarrierError:
+            pass
+        return real(model_id, prompt, keywords)
+
+    monkeypatch.setattr(gateway, "mock_chat_reply", gated_reply)
+    items = run_batch(config, ["DESC: firmware flaw", "DESC: firmware flaw"], op="complete",
+                      cache=cache, sleep=NO_SLEEP)
+    cache.close()
+    assert calls == ["DESC: firmware flaw"]
+    assert [it.index for it in items] == [0, 1]
+    assert [it.value.text for it in items] == ["1", "1"]
+    assert all(it.error is None for it in items)
+    assert len(cache) == 1
+
+
+def test_run_batch_duplicates_share_the_error(chat_config):
+    config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
+    bad = f"DESC: {gateway.TEXT_FAIL_MARKER}"
+    items = run_batch(config, [bad, "DESC: ok", bad], op="complete", sleep=NO_SLEEP)
+    assert items[0].error is items[2].error and isinstance(items[2].error, ProviderError)
+    assert items[1].error is None and items[2].index == 2
+
+
+def test_run_batch_single_worker_runs_on_calling_thread(monkeypatch):
+    config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", max_parallel=1)
+    seen = set()
+    real = gateway.mock_chat_reply
+
+    def recording_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+        seen.add(threading.get_ident())
+        return real(model_id, prompt, keywords)
+
+    monkeypatch.setattr(gateway, "mock_chat_reply", recording_reply)
+    before = threading.active_count()
+    items = run_batch(config, [f"DESC: item {i}" for i in range(5)], op="complete", sleep=NO_SLEEP)
+    assert seen == {threading.get_ident()}
+    assert threading.active_count() == before
+    assert [it.value.text for it in items] == ["0"] * 5
+
+
+def test_run_batch_stress_each_distinct_input_once(tmp_path, monkeypatch):
+    # more workers than cores and a short switch interval: a lost update in
+    # the shared index iterator or the cache shows as a repeated or missing call
+    config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", max_parallel=8)
+    counts: dict[str, int] = {}
+    lock = threading.Lock()
+    real = gateway.mock_chat_reply
+
+    def counting_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+        with lock:
+            counts[prompt] = counts.get(prompt, 0) + 1
+        return real(model_id, prompt, keywords)
+
+    monkeypatch.setattr(gateway, "mock_chat_reply", counting_reply)
+    prompts = [f"DESC: {'spi' if i % 2 else 'web'} item {i % 100}" for i in range(400)]
+    path = tmp_path / "c.jsonl"
+    cache = ResponseCache(path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        items = run_batch(config, prompts, op="complete", cache=cache, sleep=NO_SLEEP)
+        assert time.perf_counter() - start < 30
+    finally:
+        sys.setswitchinterval(interval)
+        cache.close()
+    assert counts == {p: 1 for p in set(prompts)}
+    assert [it.index for it in items] == list(range(400))
+    assert [it.value.text for it in items] == ["1" if i % 2 else "0" for i in range(400)]
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 100
+    assert len(ResponseCache(path)) == 100
 
 
 def test_run_batch_isolates_item_failures(chat_config):

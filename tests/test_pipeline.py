@@ -133,6 +133,29 @@ def test_pipeline_smaller_k_leaves_no_stale_outputs(tmp_path):
     assert tree_bytes(elbow_dir) == tree_bytes(tmp_path / "fresh")
 
 
+def test_pipeline_until_keeps_later_stage_records(tmp_path):
+    elbow_dir = tmp_path / "out"
+    manifest = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    old_k = {s["name"]: s["counts"] for s in manifest["stages"]}["cluster"]["k"]
+    assert old_k > 2
+
+    cut = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)), until="embed")
+    assert [s["name"] for s in cut["stages"]] == list(STAGES)
+    assert cut["stages"][3:] == manifest["stages"][3:]
+    rerun = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    assert [s["status"] for s in rerun["stages"]] == ["cached"] * len(STAGES)
+
+    run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, **{"clustering.k": 2})))
+    assert not (elbow_dir / "elbow.json").exists()
+    for j in range(2, old_k):
+        assert not (elbow_dir / f"term_weights_{j}.json").exists()
+        assert not (elbow_dir / f"wordcloud_{j}.svg").exists()
+    fresh = write_config(tmp_path, output_dir=str(tmp_path / "fresh"),
+                         cache_path=str(tmp_path / "fresh_cache.jsonl"), **{"clustering.k": 2})
+    run_pipeline(PipelineConfig.from_dict(fresh))
+    assert tree_bytes(elbow_dir) == tree_bytes(tmp_path / "fresh")
+
+
 def test_pipeline_split_runs_match_one_shot(tmp_path):
     split = PipelineConfig.from_dict(write_config(tmp_path))
     for name in STAGES:

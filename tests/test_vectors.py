@@ -173,6 +173,7 @@ def test_embed_corpus_abort_then_cache_resume(tmp_path, monkeypatch):
     assert len(matrix) == 5
     # only the previously failed row hit the provider; the rest came from cache
     assert calls == [records[2].description]
+    cache.close()
 
 
 def test_embed_corpus_dim_consistency(monkeypatch):
