@@ -6,24 +6,9 @@ with seeded K-means (elbow-selected K), profiles each cluster with top
 n-gram keywords, labels clusters via prompted summarization, projects to
 2-D with exact t-SNE, and emits deterministic reports.  Mock providers
 make every stage runnable offline.
+
+Import the layer modules themselves (``cveminer.pipeline``,
+``cveminer.gateway``, ...); the package root loads none of them.
 """
 
 __version__ = "0.1.0"
-
-from .classifier import (Prediction, PromptTemplate, ValidationReport,
-                         build_hwsw_prompt, classify_corpus, evaluate,
-                         hardware_subset, load_template, parse_label)
-from .clustering import (ClusterModel, ElbowCurve, choose_elbow, elbow_select,
-                         fit_best_of, kmeanspp_init, lloyd, representatives)
-from .corpus import (CveRecord, IdListFixture, LabeledCve, RejectEntry,
-                     filter_by_years, load_fixture, make_record, parse_records,
-                     yearly_counts)
-from .gateway import (BatchItem, CompletionResult, ProviderConfig,
-                      ResponseCache, complete, embed, run_batch)
-from .pipeline import PipelineConfig, run_pipeline, run_validate
-from .projection import (ProjectionResult, TsneParams, trustworthiness, tsne)
-from .topics import (NgramEntry, NgramProfile, TopicSummary, build_sum_prompt,
-                     cluster_keywords, extract_ngrams, summarize_cluster,
-                     tokenize)
-from .vectors import (EmbeddingMatrix, EmbeddingVector, cosine, embed_corpus,
-                      l2_normalize)

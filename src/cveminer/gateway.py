@@ -6,10 +6,20 @@ endpoint (input text in, float array out).  The bearer token comes from the
 ``LLM_API_KEY`` environment variable; endpoint and model always come from
 the config.
 
-``run_batch`` dispatches each distinct input once, from at most
-``max_parallel`` workers (the calling thread is one) that pull the next
+``run_batch`` dispatches each distinct input once (inputs that are equal
+after NFC normalization, as ``cache_key`` sees them, count as one), from at
+most ``max_parallel`` workers (the calling thread is one) that pull the next
 index from a shared iterator.  Answers go to ``ResponseCache``, a jsonl
-file opened once for appending and flushed after every line.
+file opened once for appending and flushed after every line.  A chat answer
+is stored as its text (``"value"``); an embedding as the base64 text of its
+little-endian float64 bytes (``"f64"``, see ``vectors.encode_f64``), which
+loads back as a read-only float64 array.  Lines written before that, holding
+the vector as a decimal ``"value"`` list, still load and still count as
+answered.  ``embed`` keeps the vector as an array from the provider through
+the cache to its ``EmbeddingVector``.
+
+``requests`` is imported by the remote calls only, so mock runs never load
+it.
 
 Mock providers make the whole pipeline runnable offline and are pure
 functions of (model_id, input text):
@@ -44,10 +54,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .errors import DimensionError, ProviderError
-from .vectors import EmbeddingVector
+from .vectors import EmbeddingVector, decode_f64, encode_f64
 
 CHAT_KINDS = ("remote-chat", "mock-chat")
 EMBED_KINDS = ("remote-embed", "mock-embed")
@@ -151,7 +160,8 @@ class ResponseCache:
                 if not line.strip():
                     continue
                 obj = json.loads(line)
-                self._entries[obj["key"]] = obj["value"]
+                self._entries[obj["key"]] = (decode_f64(obj["f64"]) if "f64" in obj
+                                             else obj["value"])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -161,7 +171,9 @@ class ResponseCache:
             return self._entries.get(key)
 
     def put(self, key: str, kind: str, model_id: str, value) -> None:
-        line = json.dumps({"key": key, "kind": kind, "model": model_id, "value": value,
+        """Store one answer: a string, or a float64 vector as its ``"f64"`` text."""
+        stored = {"f64": encode_f64(value)} if isinstance(value, np.ndarray) else {"value": value}
+        line = json.dumps({"key": key, "kind": kind, "model": model_id, **stored,
                            "created_at": datetime.now(timezone.utc).isoformat()},
                           ensure_ascii=False)
         with self._lock:
@@ -249,10 +261,13 @@ def keyword_class(text: str, keywords=DEFAULT_HW_KEYWORDS) -> str | None:
 
 
 def mock_chat_reply(model_id: str, prompt: str, keywords=DEFAULT_HW_KEYWORDS) -> str:
-    for line in prompt.splitlines():
+    # split on "\n" only: a description may hold U+2028 and the like, which
+    # str.splitlines would break the DESC: line at
+    lines = prompt.split("\n")
+    for line in lines:
         if line.startswith("DESC:"):
             return "1" if keyword_class(line, keywords) else "0"
-    for line in prompt.splitlines():
+    for line in lines:
         if line.startswith("Keywords:"):
             terms = [t.strip() for t in line[len("Keywords:"):].split(",") if t.strip()]
             return "topic: " + " ".join(terms[:4])
@@ -288,7 +303,7 @@ def _auth_headers() -> dict[str, str]:
     return headers
 
 
-def _check_response(resp: requests.Response) -> dict:
+def _check_response(resp) -> dict:
     if resp.status_code in RETRYABLE_STATUS:
         raise _Transient(resp.status_code, resp.text)
     if resp.status_code != 200:
@@ -300,6 +315,8 @@ def _check_response(resp: requests.Response) -> dict:
 
 
 def _remote_chat(config: ProviderConfig, prompt: str) -> str:
+    import requests
+
     payload = {
         "model": config.model_id,
         "messages": [{"role": "user", "content": prompt}],
@@ -319,7 +336,9 @@ def _remote_chat(config: ProviderConfig, prompt: str) -> str:
         raise ProviderError(200, f"malformed chat response: {json.dumps(data)[:200]}")
 
 
-def _remote_embed(config: ProviderConfig, text: str) -> list[float]:
+def _remote_embed(config: ProviderConfig, text: str) -> np.ndarray:
+    import requests
+
     payload = {"model": config.model_id, "input": text}
     try:
         resp = requests.post(config.endpoint, json=payload,
@@ -330,7 +349,7 @@ def _remote_embed(config: ProviderConfig, text: str) -> list[float]:
         raise _Transient(None, f"connection failure: {exc}")
     data = _check_response(resp)
     try:
-        return [float(x) for x in data["data"][0]["embedding"]]
+        return np.array([float(x) for x in data["data"][0]["embedding"]], dtype=np.float64)
     except (KeyError, IndexError, TypeError, ValueError):
         raise ProviderError(200, f"malformed embedding response: {json.dumps(data)[:200]}")
 
@@ -391,14 +410,14 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
     key = cache_key("embed", config.model_id, text)
     if cache is not None:
         hit = cache.get(key)
-        if hit is not None:
-            values = np.array(hit, dtype=np.float64)
+        if hit is not None:  # an array, or a decimal list from an older cache line
+            values = np.asarray(hit, dtype=np.float64)
             return EmbeddingVector(values, len(values), config.model_id)
 
-    def call() -> list[float]:
+    def call() -> np.ndarray:
         if config.is_mock:
             _mock_maybe_fail(config.model_id, text)
-            return [float(x) for x in mock_embed_vector(config.model_id, text)]
+            return mock_embed_vector(config.model_id, text)
         return _remote_embed(config, text)
 
     values, _ = _with_retries(config, call, backoff_base, sleep)
@@ -406,7 +425,7 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
         raise DimensionError(f"mock returned {len(values)} values, declared {mock_embed_dim(config.model_id)}")
     if cache is not None:
         cache.put(key, "embed", config.model_id, values)
-    return EmbeddingVector(np.array(values, dtype=np.float64), len(values), config.model_id)
+    return EmbeddingVector(values, len(values), config.model_id)  # makes `values` read-only
 
 
 def run_batch(config: ProviderConfig, inputs: list[str], op: str,
@@ -418,7 +437,8 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
     completion order; a failing item carries its error instead of aborting
     the batch.  Each distinct input is dispatched once and its result (or
     error) is given to every index that repeats it, so duplicates are never
-    billed twice.  ``min(max_parallel, distinct inputs)`` workers, the
+    billed twice; inputs equal after NFC normalization share one cache key and
+    so count as one.  ``min(max_parallel, distinct inputs)`` workers, the
     calling thread among them, pull the next index from a shared iterator,
     so at most config.max_parallel requests are in flight at once and
     ``max_parallel=1`` runs on the calling thread alone.
@@ -428,9 +448,9 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
     if op not in ("complete", "embed"):
         raise ValueError(f"unknown batch op {op!r}")
     fn = complete if op == "complete" else embed
-    first: dict[str, int] = {}  # input -> index of its first occurrence
+    first: dict[str, int] = {}  # NFC input -> index of its first occurrence
     for i, text in enumerate(inputs):
-        first.setdefault(text, i)
+        first.setdefault(unicodedata.normalize("NFC", text), i)
     items: list[BatchItem | None] = [None] * len(inputs)
     pending = iter(first.values())
     pending_lock = threading.Lock()
@@ -461,6 +481,6 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
             thread.join()
     for i, text in enumerate(inputs):
         if items[i] is None:
-            dispatched = items[first[text]]
+            dispatched = items[first[unicodedata.normalize("NFC", text)]]
             items[i] = BatchItem(i, value=dispatched.value, error=dispatched.error)
     return items  # type: ignore[return-value]

@@ -17,6 +17,12 @@ Each consumed artifact is parsed at most once per run, and not at all when
 its producer computed in the same run: the value is handed forward, which is
 exact because every artifact format round-trips bit for bit.
 
+Every artifact and the manifest are written to a temporary file beside the
+target and then renamed over it, so a run killed mid-write leaves the
+previous file whole; the next run removes any temporary file left behind.
+No write is synced to disk, so this guards against a killed run, not against
+a crash of the machine.
+
 An output directory is guarded by a lock file; two runs may not share one.
 The response cache lives at its own configured path (outside the artifact
 tree), so re-runs never re-bill completed provider calls.  It is opened only
@@ -171,9 +177,15 @@ class _Lock:
         return False
 
 
+_PARTIAL = ".partial"  # suffix of a file being written; see _write
+
+
 def _write(path: Path, data: bytes) -> None:
+    """Replace `path` with `data` in one rename, so it is never seen half written."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+    partial = path.with_name(path.name + _PARTIAL)
+    partial.write_bytes(data)
+    os.replace(partial, path)
 
 
 def _json_bytes(doc) -> bytes:
@@ -471,7 +483,8 @@ _STAGE_TABLE = (
         "provider": [c.chat_provider.kind, c.chat_provider.model_id, c.chat_provider.temperature],
         "template": _sha256(run.hwsw_template.system_text.encode("utf-8"))},
           ("records.jsonl",), _classify),
-    Stage("embed", lambda c, run: {"provider": [c.embed_provider.kind, c.embed_provider.model_id]},
+    Stage("embed", lambda c, run: {"provider": [c.embed_provider.kind, c.embed_provider.model_id],
+                                   "format": vectors.MATRIX_FORMAT},
           ("hardware.jsonl",), _embed),
     Stage("cluster", lambda c, run: {
         "k": c.k, "elbow_range": list(c.elbow_range), "restarts": c.restarts,
@@ -522,6 +535,8 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
         return _write_manifest(config, [], planned=planned)
 
     with _Lock(outdir):
+        for stale in outdir.glob("*" + _PARTIAL):  # left by a run killed mid-write
+            stale.unlink()
         manifest_path = outdir / "manifest.json"
         previous = {}
         if manifest_path.exists():

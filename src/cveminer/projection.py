@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateInput, PerplexityTooLarge, RangeError
 from .vectors import EmbeddingMatrix
@@ -64,6 +63,9 @@ def conditional_affinities(rows: np.ndarray, perplexity: float) -> np.ndarray:
     of log(perplexity), up to MAX_BISECTIONS steps.  The diagonal is zero
     and every row sums to 1.
     """
+    # imported on use, so that a run that never projects does not load scipy
+    from scipy.spatial.distance import cdist
+
     n = rows.shape[0]
     d2 = cdist(rows, rows, metric="sqeuclidean")
     if float(d2.max()) == 0.0:
@@ -97,6 +99,8 @@ def joint_affinities(conditional: np.ndarray) -> np.ndarray:
 
 
 def _student_t_kernel(coords: np.ndarray) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
     num = 1.0 / (1.0 + cdist(coords, coords, metric="sqeuclidean"))
     np.fill_diagonal(num, 0.0)
     return num
@@ -171,6 +175,8 @@ def trustworthiness(matrix: EmbeddingMatrix, result: ProjectionResult, k: int) -
         raise RangeError(f"k must be in [1, {n - 1}]")
     if 2 * n - 3 * k - 1 <= 0:
         raise RangeError(f"k={k} outside formula domain for n={n}")
+
+    from scipy.spatial.distance import cdist
 
     order_high = _neighbor_ranks(cdist(matrix.rows, matrix.rows, metric="sqeuclidean"))
     order_low = _neighbor_ranks(cdist(result.coords, result.coords, metric="sqeuclidean"))

@@ -3,10 +3,16 @@
 All math is double precision.  Dot products use compensated summation
 (``math.fsum``) so that cosine similarity is exactly symmetric and stable
 for high-dimensional rows.
+
+Vectors are stored as the base64 text of their little-endian float64 bytes
+(``encode_f64`` / ``decode_f64``), in the response cache and in the
+embeddings artifact alike: exact bit for bit, about half the size of
+shortest round-trip decimal, and decoded without building Python floats.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -103,16 +109,30 @@ def normalize_matrix(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     )
 
 
-def dump_matrix(matrix: EmbeddingMatrix) -> bytes:
-    """Serialize: header line {dim, model, normalized}, then one row per line.
+# The row encoding of the embeddings artifact; the embed stage records it so
+# that a file in another encoding is rebuilt (from the cache) instead of read.
+MATRIX_FORMAT = "f64-base64"
 
-    Floats are written in shortest round-trip decimal, so loading restores
-    the exact stored values bit for bit.
-    """
+
+def encode_f64(values: np.ndarray) -> str:
+    """Base64 text of a vector's little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_f64(text: str) -> np.ndarray:
+    """The read-only float64 vector that `encode_f64` wrote."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+
+
+def dump_matrix(matrix: EmbeddingMatrix) -> bytes:
+    """Serialize: header line {dim, model, normalized}, then one
+    ``{"id", "f64"}`` line per row, bit-exact (see ``encode_f64``)."""
     lines = [json.dumps({"dim": matrix.dim, "model": matrix.model_id,
                          "normalized": matrix.normalized})]
     for cve_id, row in zip(matrix.ids, matrix.rows):
-        lines.append(json.dumps({"id": cve_id, "v": [float(x) for x in row]}))
+        # the json.dumps layout, written by hand: base64 text needs no escaping,
+        # and scanning it for escapes would cost more than encoding it
+        lines.append(f'{{"id": {json.dumps(cve_id)}, "f64": "{encode_f64(row)}"}}')
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -123,10 +143,10 @@ def load_matrix(data: bytes) -> EmbeddingMatrix:
     header = json.loads(lines[0])
     dim = int(header["dim"])
     ids: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     for line in lines[1:]:
         obj = json.loads(line)
-        vec = obj["v"]
+        vec = decode_f64(obj["f64"])
         if len(vec) != dim:
             raise DimensionError(f"row {obj.get('id')} has {len(vec)} values, expected {dim}")
         ids.append(obj["id"])

@@ -8,7 +8,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from cveminer import gateway
+from cveminer import classifier, gateway
+from cveminer.corpus import make_record
 from cveminer.errors import ProviderError
 from cveminer.gateway import (ProviderConfig, ResponseCache, cache_key,
                               complete, embed, mock_chat_reply,
@@ -49,6 +50,23 @@ def test_response_cache_round_trip(tmp_path):
     assert reloaded.get("k2") == [1.0, 2.5]
     assert reloaded.get("missing") is None
     assert len(reloaded) == 2
+
+
+def test_response_cache_stores_vectors_as_base64_f64(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    vector = np.array([1.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-300])
+    cache = ResponseCache(path)
+    cache.put("k1", "embed", "m", vector)
+    cache.put("k2", "chat", "m", "hello")
+    cache.close()
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert "value" not in lines[0] and isinstance(lines[0]["f64"], str)
+    assert lines[1]["value"] == "hello"
+
+    loaded = ResponseCache(path).get("k1")
+    assert isinstance(loaded, np.ndarray) and loaded.dtype == np.float64
+    assert loaded.tobytes() == vector.tobytes()
+    assert not loaded.flags.writeable
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
@@ -101,6 +119,13 @@ def test_mock_chat_keyword_rule():
     assert mock_chat_reply("m", "intro\nDESC: exposed jtag header\nmore") == "1"
     assert mock_chat_reply("m", "DESC: open debug port on device") == "1"
     assert mock_chat_reply("m", "DESC: portable debugger") == "0"
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_mock_chat_keeps_desc_line_whole_across_line_separators(separator):
+    template = classifier.load_template("hwsw")
+    record = make_record("CVE-2021-1000", f"A flaw in the web form{separator}affecting the jtag port", "t")
+    assert mock_chat_reply("mock-hwsw", classifier.build_hwsw_prompt(template, record)) == "1"
 
 
 def test_mock_chat_summarize_rule():
@@ -255,6 +280,33 @@ def test_run_batch_bills_duplicate_inputs_once(tmp_path, monkeypatch):
     assert [it.index for it in items] == [0, 1]
     assert [it.value.text for it in items] == ["1", "1"]
     assert all(it.error is None for it in items)
+    assert len(cache) == 1
+
+
+def test_run_batch_bills_nfc_equivalent_inputs_once(tmp_path, monkeypatch):
+    # the two spellings share one cache key; the barrier holds the first
+    # caller until a second reaches the provider, as both would if dispatched
+    config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", max_parallel=2)
+    cache = ResponseCache(tmp_path / "c.jsonl")
+    barrier = threading.Barrier(2)
+    calls = []
+    real = gateway.mock_chat_reply
+
+    def gated_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+        calls.append(prompt)
+        try:
+            barrier.wait(timeout=0.5)
+        except threading.BrokenBarrierError:
+            pass
+        return real(model_id, prompt, keywords)
+
+    monkeypatch.setattr(gateway, "mock_chat_reply", gated_reply)
+    nfc, nfd = "DESC: caf\u00e9 firmware", "DESC: cafe\u0301 firmware"
+    items = run_batch(config, [nfc, nfd], op="complete", cache=cache, sleep=NO_SLEEP)
+    cache.close()
+    assert calls == [nfc]
+    assert [it.index for it in items] == [0, 1]
+    assert [it.value.text for it in items] == ["1", "1"]
     assert len(cache) == 1
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import requests
 
-from cveminer import gateway
+import cveminer
+from cveminer import gateway, pipeline, vectors
 from cveminer.assets import fixture_bytes
 from cveminer.cli import main as cli_main
 from cveminer.errors import (EmptyHardwareSet, MissingDescriptions,
@@ -179,6 +184,97 @@ def test_pipeline_cached_rerun_never_opens_response_cache(tmp_path, monkeypatch)
     assert [s["status"] for s in manifest["stages"]] == ["cached"] * 8
 
 
+def _as_decimal_lines(data: bytes, old_field: str) -> bytes:
+    """jsonl lines with their "f64" vector rewritten as a decimal list, as
+    versions before the base64 encoding wrote them."""
+    out = []
+    for line in data.decode("utf-8").splitlines():
+        doc = json.loads(line)
+        doc = {(old_field if k == "f64" else k): (vectors.decode_f64(v).tolist() if k == "f64" else v)
+               for k, v in doc.items()}
+        out.append(json.dumps(doc, ensure_ascii=False))
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def test_pipeline_reuses_decimal_vectors_of_older_versions_without_billing(tmp_path, monkeypatch):
+    doc = write_config(tmp_path)
+    config = PipelineConfig.from_dict(doc)
+    run_pipeline(config)
+    outdir, cache_path = tmp_path / "out", Path(doc["cache_path"])
+    expected = tree_bytes(outdir)
+
+    # the output dir and cache as the previous version left them: decimal
+    # vectors, and an embed record whose params carry no format marker
+    cache_path.write_bytes(_as_decimal_lines(cache_path.read_bytes(), "value"))
+    old_matrix = _as_decimal_lines((outdir / "embeddings.jsonl").read_bytes(), "v")
+    (outdir / "embeddings.jsonl").write_bytes(old_matrix)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    records = {s["name"]: s for s in manifest["stages"]}
+    provider = config.embed_provider
+    records["embed"]["input_digest"] = pipeline._digest_params({
+        "params": {"provider": [provider.kind, provider.model_id]},
+        "files": [records["classify"]["outputs"]["hardware.jsonl"]]})
+    records["embed"]["outputs"] = {"embeddings.jsonl": pipeline._sha256(old_matrix)}
+    (outdir / "manifest.json").write_text(json.dumps(manifest))
+    old_cache = cache_path.read_bytes()
+    assert b'"f64"' not in old_cache and b'"value": [' in old_cache
+
+    calls = []
+    monkeypatch.setattr(gateway, "mock_embed_vector", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(gateway, "mock_chat_reply", lambda *a, **k: calls.append(a))
+    manifest = run_pipeline(config)
+    assert calls == []
+    assert {s["name"]: s["status"] for s in manifest["stages"]}["embed"] == "computed"
+    assert tree_bytes(outdir) == expected
+    assert cache_path.read_bytes() == old_cache  # nothing re-billed, nothing appended
+
+
+@pytest.mark.parametrize("victim", ["manifest.json", "cluster_model.json"])
+def test_pipeline_write_killed_midway_keeps_previous_file(tmp_path, monkeypatch, victim):
+    config = PipelineConfig.from_dict(write_config(tmp_path))
+    run_pipeline(config)
+    outdir = tmp_path / "out"
+    first = tree_bytes(outdir)
+    before = (outdir / victim).read_bytes()
+
+    class Killed(BaseException):
+        """The process dying mid-write: nothing after it runs or writes."""
+
+    real_write_bytes = Path.write_bytes
+    dead = []
+
+    def dies_halfway(self, data):
+        if dead:
+            raise Killed
+        if self.name.startswith(victim):
+            real_write_bytes(self, data[:len(data) // 2])
+            dead.append(self)
+            raise Killed
+        return real_write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", dies_halfway)
+    with pytest.raises(Killed):  # a k=2 run recomputes the cluster stage and dies in it
+        run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, **{"clustering.k": 2})))
+    monkeypatch.undo()
+    assert (outdir / victim).read_bytes() == before
+    assert dead[0].exists()  # the half-written file the kill left behind
+
+    manifest = run_pipeline(config)
+    if victim == "cluster_model.json":  # killed before any rename: every stage is still fresh
+        assert [s["status"] for s in manifest["stages"]] == ["cached"] * len(STAGES)
+    listed = {name for s in manifest["stages"] for name in s["outputs"]}
+    assert {p.name for p in outdir.iterdir()} == listed | {"manifest.json"}
+    assert tree_bytes(outdir) == first
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_requests():
+    code = "import sys, cveminer.cli; print(sorted({'scipy', 'requests'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cveminer.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 def test_pipeline_empty_hardware_set(tmp_path):
     corpus_path = tmp_path / "sw_only.jsonl"
     lines = [json.dumps({"id": f"CVE-2021-{5000+i}",
@@ -207,7 +303,7 @@ def test_pipeline_dry_run_contacts_no_provider(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gateway, "mock_chat_reply", explode)
     monkeypatch.setattr(gateway, "mock_embed_vector", explode)
-    monkeypatch.setattr(gateway.requests, "post", explode)
+    monkeypatch.setattr(requests, "post", explode)
 
     doc = write_config(tmp_path, dry_run=True)
     manifest = run_pipeline(PipelineConfig.from_dict(doc))

@@ -1,4 +1,7 @@
+import base64
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from cveminer.corpus import make_record
 from cveminer.errors import DimensionError, ZeroVectorError
 from cveminer.gateway import ProviderConfig, ResponseCache
 from cveminer.vectors import (EmbedAborted, EmbeddingMatrix, EmbeddingVector,
-                              cosine, dump_matrix, embed_corpus, l2_normalize,
-                              load_matrix, normalize_matrix)
+                              cosine, decode_f64, dump_matrix, embed_corpus,
+                              encode_f64, l2_normalize, load_matrix,
+                              normalize_matrix)
 
 NO_SLEEP = lambda s: None  # noqa: E731
 
@@ -115,8 +119,32 @@ def test_matrix_round_trip_bit_exact():
     assert (again.dim, again.model_id, again.normalized) == (12, matrix.model_id, False)
 
 
+def test_f64_codec_bit_exact_and_read_only():
+    values = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1, 1 / 3])
+    text = encode_f64(values)
+    assert text == base64.b64encode(struct.pack("<6d", *values.tolist())).decode("ascii")
+    again = decode_f64(text)
+    assert again.dtype == np.float64 and again.tobytes() == values.tobytes()
+    assert not again.flags.writeable
+    with pytest.raises(ValueError):
+        decode_f64(text[:-4])  # not a whole number of float64s
+    with pytest.raises(ValueError):
+        decode_f64("not base64!")
+
+
+def test_dump_matrix_rows_are_id_and_f64():
+    ids = ["CVE-2021-1000", 'odd "id"\u2028\\']
+    rows = np.array([[1.0, 2.0], [3.0, -0.5]])
+    matrix = EmbeddingMatrix(ids=ids, rows=rows, dim=2, model_id="m")
+    header, *lines = dump_matrix(matrix).decode("utf-8").split("\n")[:-1]
+    assert json.loads(header) == {"dim": 2, "model": "m", "normalized": False}
+    assert lines == [json.dumps({"id": i, "f64": encode_f64(r)}) for i, r in zip(ids, rows)]
+    assert load_matrix(dump_matrix(matrix)).ids == ids
+
+
 def test_load_matrix_dim_mismatch():
-    data = b'{"dim": 3, "model": "m", "normalized": false}\n{"id": "a", "v": [1.0, 2.0]}\n'
+    row = json.dumps({"id": "a", "f64": encode_f64(np.array([1.0, 2.0]))})
+    data = b'{"dim": 3, "model": "m", "normalized": false}\n' + row.encode("ascii") + b"\n"
     with pytest.raises(DimensionError):
         load_matrix(data)
 
