@@ -10,13 +10,13 @@ the config.
 after NFC normalization, as ``cache_key`` sees them, count as one), from at
 most ``max_parallel`` workers (the calling thread is one) that pull the next
 index from a shared iterator.  Answers go to ``ResponseCache``, a jsonl
-file opened once for appending and flushed after every line.  A chat answer
-is stored as its text (``"value"``); an embedding as the base64 text of its
-little-endian float64 bytes (``"f64"``, see ``vectors.encode_f64``), which
-loads back as a read-only float64 array.  Lines written before that, holding
-the vector as a decimal ``"value"`` list, still load and still count as
-answered.  ``embed`` keeps the vector as an array from the provider through
-the cache to its ``EmbeddingVector``.
+file opened once for unbuffered appending, one ``write`` call per line.  A
+chat answer is stored as its text (``"value"``); an embedding as the base64
+text of its little-endian float64 bytes (``"f64"``, see
+``vectors.encode_f64``), which loads back as a read-only float64 array.
+Lines written before that, holding the vector as a decimal ``"value"``
+list, still load and still count as answered.  ``embed`` keeps the vector
+as an array from the provider through the cache to its ``EmbeddingVector``.
 
 ``requests`` is imported by the remote calls only, so mock runs never load
 it.
@@ -140,9 +140,13 @@ class ResponseCache:
     Lines are split on ``"\\n"`` only, so a value holding U+2028, U+2029 or
     U+0085 (written raw by ``ensure_ascii=False``) loads back intact.  A last
     line without its newline is the torn tail of an interrupted append: it is
-    ignored and cut off before the next append.  The append handle is opened
-    once, on the first ``put``; every put then writes and flushes one line
-    under the lock.  ``close`` releases the handle; a later put reopens it.
+    ignored and cut off before the next append.  The file is opened once, on
+    the first ``put``, for unbuffered appending.  ``put`` claims its key
+    under the lock, so each distinct key is written once, and then writes
+    its whole line with one ``write`` call outside the lock: ``O_APPEND``
+    keeps concurrent lines whole, and the line is in the kernel before
+    ``put`` returns.  ``get`` takes no lock.  ``close`` releases the file; a
+    later put reopens it.
     """
 
     def __init__(self, path):
@@ -167,15 +171,15 @@ class ResponseCache:
         return len(self._entries)
 
     def get(self, key: str):
-        with self._lock:
-            return self._entries.get(key)
+        # a single dict read is atomic under the GIL; put only ever adds keys
+        return self._entries.get(key)
 
     def put(self, key: str, kind: str, model_id: str, value) -> None:
         """Store one answer: a string, or a float64 vector as its ``"f64"`` text."""
         stored = {"f64": encode_f64(value)} if isinstance(value, np.ndarray) else {"value": value}
-        line = json.dumps({"key": key, "kind": kind, "model": model_id, **stored,
-                           "created_at": datetime.now(timezone.utc).isoformat()},
-                          ensure_ascii=False)
+        data = (json.dumps({"key": key, "kind": kind, "model": model_id, **stored,
+                            "created_at": datetime.now(timezone.utc).isoformat()},
+                           ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
             if key in self._entries:
                 return
@@ -184,10 +188,12 @@ class ResponseCache:
                 if self._truncate_to is not None:
                     os.truncate(self.path, self._truncate_to)
                     self._truncate_to = None
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(line + "\n")
-            self._fh.flush()
+                self._fh = open(self.path, "ab", buffering=0)
             self._entries[key] = value
+            fh = self._fh
+        written = fh.write(data)
+        if written != len(data):
+            raise OSError(f"short write to {self.path}: {written} of {len(data)} bytes")
 
     def close(self) -> None:
         with self._lock:

@@ -23,7 +23,9 @@ previous file whole; the next run removes any temporary file left behind.
 No write is synced to disk, so this guards against a killed run, not against
 a crash of the machine.
 
-An output directory is guarded by a lock file; two runs may not share one.
+An output directory is guarded by an exclusive ``flock`` on its ``.lock``
+file; two runs may not share one.  The kernel releases the lock when its
+holder dies, so a killed run does not block the next.
 The response cache lives at its own configured path (outside the artifact
 tree), so re-runs never re-bill completed provider calls.  It is opened only
 when a stage computes, so a fully cached re-run never loads it, and closed
@@ -32,6 +34,7 @@ when the run ends.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -159,21 +162,42 @@ def _utcnow() -> str:
 
 
 class _Lock:
+    """An exclusive ``flock`` on ``<outdir>/.lock``, held for the run.
+
+    The kernel drops the lock when its holder dies, so a killed run never
+    blocks the next one.  The file is unlinked while still locked; a run
+    that locked a file after it was unlinked sees that the path no longer
+    names its file, and tries again on a fresh one.
+    """
+
     def __init__(self, outdir: Path):
         self.path = outdir / ".lock"
+        self._fd = None
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise OutputDirLocked(f"{self.path} exists; another run owns this directory")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
+        while self._fd is None:
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    self._fd, fd = fd, None
+            except BlockingIOError:
+                raise OutputDirLocked(
+                    f"{self.path} is locked; another run owns this directory") from None
+            except FileNotFoundError:
+                pass  # unlinked by the run that held it; try again on a fresh file
+            finally:
+                if fd is not None:
+                    os.close(fd)
+        os.ftruncate(self._fd, 0)
+        os.write(self._fd, str(os.getpid()).encode("ascii"))
         return self
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
+        os.close(self._fd)  # releases the lock
+        self._fd = None
         return False
 
 

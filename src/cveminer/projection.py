@@ -5,7 +5,22 @@ kernels with bandwidths binary-searched to match the target perplexity,
 symmetrized joint affinities, a Student-t output kernel, and momentum
 gradient descent with an early exaggeration phase.  Gradients are computed
 exactly (O(n^2)), which is comfortable up to a few thousand points and
-keeps runs bit-reproducible for a fixed seed.
+keeps runs bit-reproducible for a fixed seed on one machine.
+
+Everything runs on numpy kernels, with no per-row Python loop:
+
+* High-dimensional squared distances come from one GEMM
+  (``|a|^2 + |b|^2 - 2 a.b``, clamped at 0) for the affinities and for
+  ``trustworthiness``; 2-D distances from ``np.subtract.outer``.
+* The bandwidth bisection advances every row at once, and freezes each
+  row as it converges.
+* Each gradient step does its n x n work in float32, in two buffers
+  allocated once per run.  One GEMM against ``[Y, 1]`` yields both the
+  row sums and the products with the coordinates; those sums, the
+  normalizer Z and the coordinates are carried in float64, and so is the
+  KL divergence of the trace.  A step's gradient is within about 1e-5 of
+  its float64 value, relative to its norm, except near convergence, where
+  the gradient itself nears zero.
 """
 
 from __future__ import annotations
@@ -47,48 +62,71 @@ class ProjectionResult:
     kl_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _entropy_and_row(d_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    p = np.exp(-d_row * beta)
-    total = p.sum()
-    if total <= 0.0:
-        return 0.0, np.zeros_like(p)
-    h = np.log(total) + beta * float((d_row * p).sum()) / total
-    return float(h), p / total
+def _sq_distances(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between all rows, as one GEMM.
+
+    ``|a|^2 + |b|^2 - 2 a.b`` can round below zero for near-equal rows, so
+    it is clamped at 0, and the diagonal is exactly 0.
+    """
+    sq = np.einsum("ij,ij->i", rows, rows)
+    d2 = rows @ rows.T
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += sq[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _gaussian_rows(d: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel ``exp(-beta_i d_ij)`` of each row of d, its row sums and its entropy.
+
+    A row whose kernel underflows to all zeros has entropy 0; its sum is
+    reported as 1, so dividing by it keeps the row zero.
+    """
+    p = d * -beta[:, None]
+    np.exp(p, out=p)
+    total = p.sum(axis=1)
+    total[total == 0.0] = 1.0
+    h = np.log(total) + beta * np.einsum("ij,ij->i", d, p) / total
+    return p, total, h
 
 
 def conditional_affinities(rows: np.ndarray, perplexity: float) -> np.ndarray:
     """Row-stochastic Gaussian affinities with entropy matched to perplexity.
 
     Each row's bandwidth is bisected until the entropy is within ENTROPY_TOL
-    of log(perplexity), up to MAX_BISECTIONS steps.  The diagonal is zero
-    and every row sums to 1.
+    of log(perplexity), up to MAX_BISECTIONS steps.  All rows bisect at
+    once, and a row that has converged is frozen.  The diagonal is zero and
+    every row sums to 1.
     """
-    # imported on use, so that a run that never projects does not load scipy
-    from scipy.spatial.distance import cdist
-
-    n = rows.shape[0]
-    d2 = cdist(rows, rows, metric="sqeuclidean")
+    d2 = _sq_distances(rows)
     if float(d2.max()) == 0.0:
         raise DegenerateInput("all rows are identical")
+    n = rows.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    d = d2[off].reshape(n, n - 1)  # each row's distances to the other points
+    del d2
     target = np.log(perplexity)
+    beta = np.ones(n)
+    beta_min = np.full(n, -np.inf)
+    beta_max = np.full(n, np.inf)
+    h = _gaussian_rows(d, beta)[2]
+    for _ in range(MAX_BISECTIONS):
+        act = np.flatnonzero(np.abs(h - target) > ENTROPY_TOL)
+        if not act.size:
+            break
+        b, lo, hi = beta[act], beta_min[act], beta_max[act]
+        up = h[act] > target
+        lo = np.where(up, b, lo)
+        hi = np.where(up, hi, b)
+        beta[act] = np.where(up, np.where(hi == np.inf, b * 2.0, (b + hi) / 2.0),
+                             np.where(lo == -np.inf, b / 2.0, (b + lo) / 2.0))
+        beta_min[act], beta_max[act] = lo, hi
+        h[act] = _gaussian_rows(d[act], beta[act])[2]
+    kernel, total, _ = _gaussian_rows(d, beta)
     p = np.zeros((n, n))
-    others = np.arange(n)
-    for i in range(n):
-        mask = others != i
-        d_row = d2[i, mask]
-        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
-        h, row = _entropy_and_row(d_row, beta)
-        for _ in range(MAX_BISECTIONS):
-            if abs(h - target) <= ENTROPY_TOL:
-                break
-            if h > target:
-                beta_min = beta
-                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
-            else:
-                beta_max = beta
-                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-            h, row = _entropy_and_row(d_row, beta)
-        p[i, mask] = row
+    p[off] = (kernel / total[:, None]).ravel()
     return p
 
 
@@ -98,12 +136,37 @@ def joint_affinities(conditional: np.ndarray) -> np.ndarray:
     return np.maximum(joint, AFFINITY_FLOOR)
 
 
-def _student_t_kernel(coords: np.ndarray) -> np.ndarray:
-    from scipy.spatial.distance import cdist
+def _gradient(p32: np.ndarray, coords: np.ndarray, exaggeration: float,
+              num: np.ndarray, pq: np.ndarray) -> tuple[np.ndarray, float]:
+    """KL gradient at `coords` and the Student-t normalizer Z.
 
-    num = 1.0 / (1.0 + cdist(coords, coords, metric="sqeuclidean"))
+    The n x n work runs in float32 in the caller's buffers: `num` is left
+    holding the Student-t kernel ``1 / (1 + |y_i - y_j|^2)`` with a zero
+    diagonal, and `pq` is scratch.  Row sums come out of BLAS as float32 and
+    are carried on, with Z and the result, in float64.  The exaggerated
+    affinities are never stored: ``exaggeration * p - num / Z`` is computed
+    as ``exaggeration * (p - num / (exaggeration * Z))``.
+    """
+    n = len(coords)
+    x = coords[:, 0].astype(np.float32)
+    y = coords[:, 1].astype(np.float32)
+    np.subtract.outer(x, x, out=num)
+    np.square(num, out=num)
+    np.subtract.outer(y, y, out=pq)
+    np.square(pq, out=pq)
+    num += pq
+    num += 1.0
+    np.reciprocal(num, out=num)
     np.fill_diagonal(num, 0.0)
-    return num
+    z = float((num @ np.ones(n, dtype=np.float32)).sum(dtype=np.float64))
+    np.multiply(num, np.float32(1.0 / (exaggeration * z)), out=pq)
+    np.subtract(p32, pq, out=pq)
+    pq *= num
+    # one GEMM against [Y, 1] gives sum_j pq_ij y_j and the row sums sum_j pq_ij
+    y1 = np.ones((n, 3), dtype=np.float32)
+    y1[:, :2] = coords
+    acc = (pq @ y1).astype(np.float64) * exaggeration
+    return 4.0 * (acc[:, 2:] * coords - acc[:, :2]), z
 
 
 def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 0) -> ProjectionResult:
@@ -126,6 +189,9 @@ def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 
     p_joint = joint_affinities(conditional_affinities(matrix.rows, params.perplexity))
     p_joint = p_joint / p_joint.sum()
     p_joint = np.maximum(p_joint, AFFINITY_FLOOR)
+    p32 = p_joint.astype(np.float32)
+    num = np.empty((n, n), dtype=np.float32)
+    pq = np.empty((n, n), dtype=np.float32)
 
     rng = np.random.default_rng(seed)
     coords = rng.standard_normal((n, 2)) * params.init_sigma
@@ -134,11 +200,7 @@ def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 
 
     for it in range(1, params.iterations + 1):
         exaggeration = params.early_exaggeration if it <= params.exaggeration_iters else 1.0
-        num = _student_t_kernel(coords)
-        q = np.maximum(num / num.sum(), AFFINITY_FLOOR)
-
-        pq = (p_joint * exaggeration - q) * num
-        grad = 4.0 * (pq.sum(axis=1)[:, None] * coords - pq @ coords)
+        grad, z = _gradient(p32, coords, exaggeration, num, pq)
 
         momentum = params.momentum_early if it <= params.momentum_switch else params.momentum_late
         velocity = momentum * velocity - params.learning_rate * grad
@@ -146,6 +208,7 @@ def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 
         coords = coords - coords.mean(axis=0)
 
         if it % params.kl_interval == 0 or it == params.iterations:
+            q = np.maximum(num.astype(np.float64) / z, AFFINITY_FLOOR)
             kl = float(np.sum(p_joint * np.log(p_joint / q)))
             if not kl_trace or kl_trace[-1][0] != it:
                 kl_trace.append((it, kl))
@@ -154,11 +217,13 @@ def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 
                             seed=seed, final_kl=kl_trace[-1][1], kl_trace=kl_trace)
 
 
-def _neighbor_ranks(distances: np.ndarray) -> np.ndarray:
-    """Stable ascending ordering per row with self forced to the front."""
-    d = distances.copy()
-    np.fill_diagonal(d, -np.inf)
-    return np.argsort(d, axis=1, kind="stable")[:, 1:]
+def _neighbor_order(d2: np.ndarray) -> np.ndarray:
+    """Each row's other points, nearest first; ties keep index order.
+
+    Overwrites the diagonal of `d2`.
+    """
+    np.fill_diagonal(d2, -np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, 1:]
 
 
 def trustworthiness(matrix: EmbeddingMatrix, result: ProjectionResult, k: int) -> float:
@@ -176,21 +241,14 @@ def trustworthiness(matrix: EmbeddingMatrix, result: ProjectionResult, k: int) -
     if 2 * n - 3 * k - 1 <= 0:
         raise RangeError(f"k={k} outside formula domain for n={n}")
 
-    from scipy.spatial.distance import cdist
-
-    order_high = _neighbor_ranks(cdist(matrix.rows, matrix.rows, metric="sqeuclidean"))
-    order_low = _neighbor_ranks(cdist(result.coords, result.coords, metric="sqeuclidean"))
-
+    x, y = result.coords[:, 0], result.coords[:, 1]
+    dx, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
+    order_low = _neighbor_order(dx * dx + dy * dy)[:, :k]
+    order_high = _neighbor_order(_sq_distances(matrix.rows))
     rank_high = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        rank_high[i, order_high[i]] = np.arange(1, n)
-
-    penalty = 0
-    for i in range(n):
-        high_set = set(order_high[i, :k].tolist())
-        for j in order_low[i, :k]:
-            if int(j) not in high_set:
-                penalty += rank_high[i, j] - k
+    rank_high[np.arange(n)[:, None], order_high] = np.arange(1, n)
+    # a low-dim neighbor that is also a high-dim k-neighbor has rank <= k
+    penalty = int(np.maximum(np.take_along_axis(rank_high, order_low, axis=1) - k, 0).sum())
     return 1.0 - (2.0 / (n * k * (2.0 * n - 3.0 * k - 1.0))) * penalty
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 import threading
 import time
@@ -111,6 +112,56 @@ def test_response_cache_put_after_close_reopens(tmp_path):
     cache.close()
     assert len(path.read_text(encoding="utf-8").split("\n")) == 3  # two lines, final newline
     assert ResponseCache(path).get("k2") == "two"
+
+
+def test_response_cache_get_does_not_wait_for_its_lock(tmp_path):
+    cache = ResponseCache(tmp_path / "cache.jsonl")
+    cache.put("k1", "chat", "m", "one")
+    got = []
+    with cache._lock:  # held, as by a put of another worker
+        reader = threading.Thread(target=lambda: got.append(cache.get("k1")))
+        reader.start()
+        reader.join(timeout=5)
+        blocked = reader.is_alive()
+    reader.join(timeout=5)
+    cache.close()
+    assert not blocked and got == ["one"]
+
+
+def test_response_cache_concurrent_puts_reload_one_whole_line_per_key(tmp_path):
+    # more writers than cores, each putting every key in its own order, long
+    # lines and a short switch interval: a torn, interleaved or repeated line
+    # shows on reload
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    values = {f"k{i}": f"v{i}-" * 3000 for i in range(200)}
+
+    def writer(seed):
+        keys = sorted(values)
+        random.Random(seed).shuffle(keys)
+        for key in keys:
+            cache.put(key, "chat", "m", values[key])
+
+    threads = [threading.Thread(target=writer, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        cache.close()
+    assert not any(thread.is_alive() for thread in threads)
+    data = path.read_bytes()
+    assert data.endswith(b"\n")
+    docs = [json.loads(line) for line in data[:-1].split(b"\n")]
+    assert sorted(doc["key"] for doc in docs) == sorted(values)
+    assert all(doc["value"] == values[doc["key"]] for doc in docs)
+    reloaded = ResponseCache(path)
+    assert len(reloaded) == len(values)
+    assert all(reloaded.get(key) == value for key, value in values.items())
 
 
 def test_mock_chat_keyword_rule():

@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 import subprocess
@@ -335,9 +336,53 @@ def test_pipeline_output_dir_locked(tmp_path):
     doc = write_config(tmp_path)
     outdir = tmp_path / "out"
     outdir.mkdir()
-    (outdir / ".lock").write_text("12345")
-    with pytest.raises(OutputDirLocked):
-        run_pipeline(PipelineConfig.from_dict(doc))
+    with open(outdir / ".lock", "w") as holder:  # a live run's lock
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        with pytest.raises(OutputDirLocked):
+            run_pipeline(PipelineConfig.from_dict(doc))
+    assert (outdir / ".lock").exists() and not (outdir / "manifest.json").exists()
+
+
+def test_pipeline_runs_after_the_lock_holder_is_killed(tmp_path):
+    doc = write_config(tmp_path)
+    outdir = tmp_path / "out"
+    code = ("import sys, time; from pathlib import Path; from cveminer import pipeline; "
+            "lock = pipeline._Lock(Path(sys.argv[1])).__enter__(); "
+            "print('locked', flush=True); time.sleep(60)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cveminer.__file__).parents[1]))
+    child = subprocess.Popen([sys.executable, "-c", code, str(outdir)], env=env,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline().strip() == "locked"
+        with pytest.raises(OutputDirLocked):
+            run_pipeline(PipelineConfig.from_dict(doc))
+    finally:
+        child.kill()  # SIGKILL: the child cannot clean up after itself
+        child.wait(timeout=30)
+        child.stdout.close()
+    assert (outdir / ".lock").exists()
+    manifest = run_pipeline(PipelineConfig.from_dict(doc))
+    assert [s["status"] for s in manifest["stages"]] == ["computed"] * len(STAGES)
+    assert not (outdir / ".lock").exists()
+
+
+def test_lock_taken_on_a_file_unlinked_meanwhile_is_retaken(tmp_path, monkeypatch):
+    real_flock = fcntl.flock
+    raced = []
+
+    def flock(fd, operation):
+        if not raced:  # another run locks, finishes and unlinks the file first
+            raced.append(fd)
+            with pipeline._Lock(tmp_path):
+                pass
+        return real_flock(fd, operation)
+
+    monkeypatch.setattr(pipeline.fcntl, "flock", flock)
+    with pipeline._Lock(tmp_path) as lock:
+        assert raced and os.path.samestat(os.fstat(lock._fd), os.stat(tmp_path / ".lock"))
+        with pytest.raises(OutputDirLocked):
+            pipeline._Lock(tmp_path).__enter__()
+    assert not (tmp_path / ".lock").exists()
 
 
 def _bench_paths(tmp_path):

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import cveminer
 from conftest import blob_matrix, random_matrix
+from cveminer import projection
 from cveminer.errors import DegenerateInput, PerplexityTooLarge, RangeError
-from cveminer.projection import (ProjectionResult, TsneParams,
-                                 conditional_affinities, joint_affinities,
-                                 trustworthiness, tsne)
+from cveminer.projection import (ENTROPY_TOL, MAX_BISECTIONS, ProjectionResult,
+                                 TsneParams, conditional_affinities,
+                                 joint_affinities, trustworthiness, tsne)
 from cveminer.vectors import EmbeddingMatrix
 
 
@@ -21,6 +29,84 @@ def test_conditional_rows_sum_to_one():
     sums = cond.sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-6)
     assert np.all(np.diag(cond) == 0.0)
+
+
+def _conditional_affinities_oracle(rows, perplexity):
+    """The row-at-a-time bisection, over scipy's distances; also each row's step count."""
+    d2 = cdist(rows, rows, metric="sqeuclidean")
+    n = len(rows)
+    target = np.log(perplexity)
+    p = np.zeros((n, n))
+    steps = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        mask = np.arange(n) != i
+        d_row = d2[i, mask]
+
+        def entropy_and_row(beta):
+            w = np.exp(-d_row * beta)
+            total = w.sum()
+            if total <= 0.0:
+                return 0.0, np.zeros_like(w)
+            return float(np.log(total) + beta * float((d_row * w).sum()) / total), w / total
+
+        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
+        h, row = entropy_and_row(beta)
+        for _ in range(MAX_BISECTIONS):
+            if abs(h - target) <= ENTROPY_TOL:
+                break
+            steps[i] += 1
+            if h > target:
+                beta_min = beta
+                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
+            else:
+                beta_max = beta
+                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
+            h, row = entropy_and_row(beta)
+        p[i, mask] = row
+    return p, steps
+
+
+@pytest.mark.parametrize("radius", [1.0, 3.0])
+def test_conditional_affinities_match_row_oracle_with_a_row_out_of_steps(radius):
+    # point 0 is equidistant from all others, so its entropy cannot reach the
+    # target: it runs out of steps (ending uniform at radius 1, underflowed to
+    # zeros at radius 3) while the other rows converge
+    rows = np.random.default_rng(5).normal(size=(60, 8))
+    rows[1:] *= radius / np.linalg.norm(rows[1:], axis=1, keepdims=True)
+    rows[0] = 0.0
+    want, steps = _conditional_affinities_oracle(rows, 10.0)
+    assert steps[0] == MAX_BISECTIONS and steps[1:].max() < MAX_BISECTIONS
+    got = conditional_affinities(rows, 10.0)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_conditional_affinities_match_row_oracle_at_cold_scale():
+    rows = random_matrix(5, 431, 3072).rows
+    want, _ = _conditional_affinities_oracle(rows, 30.0)
+    assert np.abs(conditional_affinities(rows, 30.0) - want).max() <= 1e-12
+
+
+def _gradient_reference(p_joint, coords, exaggeration):
+    diff = coords[:, None, :] - coords[None, :, :]
+    num = 1.0 / (1.0 + (diff ** 2).sum(axis=-1))
+    np.fill_diagonal(num, 0.0)
+    q = np.maximum(num / num.sum(), projection.AFFINITY_FLOOR)
+    pq = (p_joint * exaggeration - q) * num
+    return 4.0 * (pq[:, :, None] * diff).sum(axis=1), num.sum()
+
+
+@pytest.mark.parametrize("scale,exaggeration", [(1e-4, 12.0), (1.0, 12.0), (10.0, 1.0)])
+def test_gradient_matches_float64_reference(scale, exaggeration):
+    m = random_matrix(16, 120, 10)
+    p_joint = joint_affinities(conditional_affinities(m.rows, 20.0))
+    p_joint = np.maximum(p_joint / p_joint.sum(), projection.AFFINITY_FLOOR)
+    coords = np.random.default_rng(17).standard_normal((120, 2)) * scale
+    num = np.empty((120, 120), dtype=np.float32)
+    scratch = np.empty_like(num)
+    grad, z = projection._gradient(p_joint.astype(np.float32), coords, exaggeration, num, scratch)
+    want, want_z = _gradient_reference(p_joint, coords, exaggeration)
+    assert np.linalg.norm(grad - want) <= 1e-5 * np.linalg.norm(want)
+    assert abs(z - want_z) <= 1e-6 * want_z
 
 
 def test_joint_affinities_symmetric_nonnegative():
@@ -123,6 +209,53 @@ def test_trustworthiness_matches_oracle():
         got = trustworthiness(m, result, k)
         want = _trustworthiness_oracle(m.rows, coords, k)
         assert abs(got - want) < 1e-12
+
+
+def _trustworthiness_loops(high, low, k):
+    """The per-point loops over scipy's distances, with the same stable tie order."""
+    n = len(high)
+
+    def order(d):
+        np.fill_diagonal(d, -np.inf)
+        return np.argsort(d, axis=1, kind="stable")[:, 1:]
+
+    order_high = order(cdist(high, high, metric="sqeuclidean"))
+    order_low = order(cdist(low, low, metric="sqeuclidean"))
+    rank_high = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        rank_high[i, order_high[i]] = np.arange(1, n)
+    penalty = 0
+    for i in range(n):
+        high_set = set(order_high[i, :k].tolist())
+        for j in order_low[i, :k]:
+            if int(j) not in high_set:
+                penalty += rank_high[i, j] - k
+    return 1.0 - (2.0 / (n * k * (2.0 * n - 3.0 * k - 1.0))) * penalty
+
+
+def test_trustworthiness_equals_loops_at_cold_scale():
+    m = random_matrix(5, 431, 3072)
+    rng = np.random.default_rng(5)
+    # a layout that keeps part of the structure, so both sets overlap
+    coords = m.rows[:, :2] + 0.5 * rng.standard_normal((431, 2))
+    result = ProjectionResult(ids=list(m.ids), coords=coords,
+                              params=TsneParams(), seed=0, final_kl=0.0)
+    for k in (1, 10, 50):
+        assert trustworthiness(m, result, k) == _trustworthiness_loops(m.rows, coords, k)
+
+
+def test_projecting_and_scoring_load_no_scipy():
+    code = ("import sys, numpy as np; from cveminer import projection, vectors; "
+            "rows = np.random.default_rng(0).normal(size=(40, 8)); "
+            "m = vectors.EmbeddingMatrix(ids=[str(i) for i in range(40)], rows=rows, dim=8, "
+            "model_id='t'); "
+            "r = projection.tsne(m, projection.TsneParams(perplexity=5.0, iterations=60)); "
+            "projection.trustworthiness(m, r, 5); "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cveminer.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_trustworthiness_rigid_rotation_is_one():
