@@ -9,18 +9,29 @@ Ties anywhere (nearest centroid, farthest point, elbow second differences)
 break toward the smallest index, for reproducibility.
 
 The canonical rows and their squared norms are computed once per matrix and
-shared by every restart of an elbow scan or a best-of fit.  K-means++ updates
-D^2 with one GEMV per chosen row, and each Lloyd iteration costs one GEMM for
-the distances and one for the centroid sums.  Each fit ends with an exact
-recompute of its centroids and objective from the final assignment, so the
-objectives that pick between restarts (and with them the labels) do not
-depend on the expanded-form rounding.
+shared by every restart of an elbow scan or a best-of fit.  With no more
+rows than dimensions (n <= dim, as with contextual embeddings), the Gram
+matrix G = rows @ rows.T is held too and the steps run in Gram space, by the
+kernel k-means identity ||x - mean(S)||^2 = G_xx - 2 mean_s G_xs +
+mean_st G_st: K-means++ reads each D^2 update from a row of G, and every
+Lloyd step after the first takes its distances and objective from one
+(k, n) x (n, n) product; the (k, dim) centroids are built only when an exact
+fallback needs them.  With n > dim, K-means++ takes one GEMV per chosen row
+and each Lloyd iteration one GEMM for the distances and one for the centroid
+sums.
+
+A fit's centroids and objective are recomputed exactly from its final
+assignment, so the objectives that pick between restarts (and with them the
+labels) do not depend on the expanded-form rounding.  A best-of fit runs that
+recompute only for the restarts whose norm-derived objective lies within
+rounding reach of the smallest, which always include the winner.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,15 +64,18 @@ class ElbowCurve:
 class _Canonical:
     """A matrix's rows in id-sorted order, with their squared norms."""
 
-    order: np.ndarray      # canonical position -> matrix row
-    rows: np.ndarray       # (n, dim), C-contiguous
-    sq_norms: np.ndarray   # (n,)
+    order: np.ndarray          # canonical position -> matrix row
+    rows: np.ndarray           # (n, dim), C-contiguous
+    sq_norms: np.ndarray       # (n,)
+    gram: np.ndarray | None    # (n, n) rows @ rows.T, held only when n <= dim
 
 
 def _canonical(matrix: EmbeddingMatrix) -> _Canonical:
     order = np.argsort(np.array(matrix.ids))
     rows = matrix.rows[order]
-    return _Canonical(order, rows, np.einsum("ij,ij->i", rows, rows))
+    # with n > dim, G would cost more to build and to multiply than the rows
+    gram = rows @ rows.T if len(rows) <= rows.shape[1] else None
+    return _Canonical(order, rows, np.einsum("ij,ij->i", rows, rows), gram)
 
 
 # The expanded form ||r||^2 + ||c||^2 - 2 r.c is cheap (one GEMV/GEMM) but
@@ -74,22 +88,62 @@ NEAR_TIE = 1e-9
 
 def _sq_distances_to_row(canon: _Canonical, i: int) -> np.ndarray:
     rows, sq = canon.rows, canon.sq_norms
-    d2 = np.maximum(sq + sq[i] - 2.0 * (rows @ rows[i]), 0.0)
+    dots = canon.gram[i] if canon.gram is not None else rows @ rows[i]
+    d2 = np.maximum(sq + sq[i] - 2.0 * dots, 0.0)
     near = np.flatnonzero(d2 <= NEAR_TIE * (sq + sq[i]))
     d2[near] = np.sum((rows[near] - rows[i]) ** 2, axis=1)
     return d2
 
 
-def _nearest_centroid(canon: _Canonical, centroids: np.ndarray) -> np.ndarray:
-    rows, sq = canon.rows, canon.sq_norms
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = np.maximum(sq[:, None] + c_sq - 2.0 * (rows @ centroids.T), 0.0)
+class _Means:
+    """Centroids as an assignment step reads them, each part built on first use.
+
+    `products` (n, k) holds every row's dot product with each centroid, `sq`
+    (k,) the centroids' squared norms and `full` (k, dim) the centroids, for
+    the exact fallbacks.  For the means of a partition (`members`, a (k, n)
+    0/1 matrix, and `counts`), `sums_sq` (k,) holds the squared norms of the
+    member sums, which give the objective.  With the Gram matrix held,
+    `products` and `sums_sq` come from one `members @ G`, and `full` is built
+    only if a fallback asks for it, with the same bits as in row space.
+    """
+
+    def __init__(self, canon: _Canonical, full: np.ndarray | None = None,
+                 members: np.ndarray | None = None, counts: np.ndarray | None = None):
+        self._canon, self._members, self._counts = canon, members, counts
+        if full is not None:
+            self.full = full
+        elif canon.gram is not None:
+            member_gram = members @ canon.gram
+            self.sums_sq = np.einsum("ij,ij->i", member_gram, members)
+            self.products = (member_gram / counts[:, None]).T
+            self.sq = self.sums_sq / counts ** 2
+        else:
+            sums = members @ canon.rows  # every centroid sum in one pass over the rows
+            self.full = sums / counts[:, None]
+            self.sums_sq = np.einsum("ij,ij->i", sums, sums)
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        return (self._members @ self._canon.rows) / self._counts[:, None]
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        return self._canon.rows @ self.full.T
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.full, self.full)
+
+
+def _nearest_centroid(canon: _Canonical, means: _Means) -> np.ndarray:
+    rows, sq, c_sq = canon.rows, canon.sq_norms, means.sq
+    d2 = np.maximum(sq[:, None] + c_sq - 2.0 * means.products, 0.0)
     assign = np.argmin(d2, axis=1)  # ties resolve to the smallest index
-    if len(centroids) > 1:
+    if len(c_sq) > 1:
         two = np.partition(d2, 1, axis=1)[:, :2]
         near = np.flatnonzero(two[:, 1] - two[:, 0] <= NEAR_TIE * (sq + c_sq.max()))
         if near.size:
-            exact = np.sum((rows[near, None, :] - centroids) ** 2, axis=2)
+            exact = np.sum((rows[near, None, :] - means.full) ** 2, axis=2)
             assign[near] = np.argmin(exact, axis=1)
     return assign
 
@@ -150,15 +204,18 @@ def _repair_empty(assign: np.ndarray, point_d2: np.ndarray, k: int) -> None:
 
 def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
           max_iter: int = 300, tol: float = 1e-6, seed: int | None = None,
-          _canon: _Canonical | None = None) -> ClusterModel:
+          _canon: _Canonical | None = None, _exact: bool = True) -> ClusterModel:
     """Alternate assignment/update steps until the objective stalls.
 
-    Each iteration takes its distances from one GEMM and its centroid sums
-    from one pass; the recorded per-iteration objective, computed from the
-    squared norms after each centroid update, never increases.  The returned
-    centroids and `wcss` are recomputed from the final assignment directly
-    (per-cluster mean, then the total squared distance), so every centroid
-    equals the mean of its assigned rows and `wcss` the exact objective.
+    Each iteration takes its distances and centroid norms from one product
+    (see the module docstring); the recorded per-iteration objective,
+    computed from the squared norms after each centroid update, never
+    increases.  The returned centroids and `wcss` are recomputed from the
+    final assignment directly (per-cluster mean, then the total squared
+    distance), so every centroid equals the mean of its assigned rows and
+    `wcss` the exact objective.  With `_exact=False` that recompute is left
+    to `_make_exact`: `centroids` is None and `wcss` the norm-derived
+    objective.
     """
     init_centroids = np.asarray(init_centroids, dtype=np.float64)
     if init_centroids.ndim != 2 or init_centroids.shape[1] != matrix.dim:
@@ -169,26 +226,26 @@ def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
     rows = canon.rows
     total_sq = float(canon.sq_norms.sum())
 
-    centroids = init_centroids.copy()
+    means = _Means(canon, full=init_centroids.copy())
     history: list[float] = []
     prev = np.inf
+    wcss = 0.0
     converged = False
     iterations = 0
     assign = np.zeros(n, dtype=np.int64)
     columns = np.arange(n)
 
     for iterations in range(1, max_iter + 1):
-        assign = _nearest_centroid(canon, centroids)
+        assign = _nearest_centroid(canon, means)
         counts = np.bincount(assign, minlength=k)
         if not counts.all():
-            _repair_empty(assign, np.sum((rows - centroids[assign]) ** 2, axis=1), k)
+            _repair_empty(assign, np.sum((rows - means.full[assign]) ** 2, axis=1), k)
             counts = np.bincount(assign, minlength=k)
 
         members = np.zeros((k, n))
         members[assign, columns] = 1.0
-        sums = members @ rows  # every centroid sum in one pass over the rows
-        centroids = sums / counts[:, None]
-        wcss = max(total_sq - float(np.sum(np.einsum("ij,ij->i", sums, sums) / counts)), 0.0)
+        means = _Means(canon, members=members, counts=counts)
+        wcss = max(total_sq - float(np.sum(means.sums_sq / counts)), 0.0)
         history.append(wcss)
         if prev < np.inf:
             improvement = (prev - wcss) / prev if prev > 0.0 else 0.0
@@ -197,32 +254,43 @@ def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
                 break
         prev = wcss
 
-    centroids = np.vstack([rows[assign == j].mean(axis=0) for j in range(k)])
-    wcss = float(np.sum((rows - centroids[assign]) ** 2))
-    if history:
-        history[-1] = wcss
     assignments = np.empty(n, dtype=np.int64)
     assignments[canon.order] = assign
-    return ClusterModel(k=k, centroids=centroids, assignments=assignments, wcss=wcss,
-                        seed=seed, iterations=iterations, converged=converged,
-                        wcss_history=history)
+    model = ClusterModel(k=k, centroids=None, assignments=assignments, wcss=wcss,
+                         seed=seed, iterations=iterations, converged=converged,
+                         wcss_history=history)
+    return _make_exact(canon, model) if _exact else model
+
+
+def _make_exact(canon: _Canonical, model: ClusterModel) -> ClusterModel:
+    """Recompute `model`'s centroids and objective from its assignment, in place."""
+    rows, assign = canon.rows, model.assignments[canon.order]
+    model.centroids = np.vstack([rows[assign == j].mean(axis=0) for j in range(model.k)])
+    model.wcss = float(np.sum((rows - model.centroids[assign]) ** 2))
+    if model.wcss_history:
+        model.wcss_history[-1] = model.wcss
+    return model
 
 
 def fit_best_of(matrix: EmbeddingMatrix, k: int, seed: int, restarts: int = 8,
                 max_iter: int = 300, tol: float = 1e-6,
                 _canon: _Canonical | None = None) -> ClusterModel:
-    """Best of `restarts` seeded runs (seeds seed, seed+1, ...) by objective."""
+    """Best of `restarts` seeded runs (seeds seed, seed+1, ...) by exact objective.
+
+    The earlier run wins a tie.  Only runs whose norm-derived objective is
+    within NEAR_TIE * sum ||x||^2 of the smallest get the exact recompute:
+    that objective's rounding is far below the margin, so the run with the
+    smallest exact objective is always among them.
+    """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     canon = _canon if _canon is not None else _canonical(matrix)
-    best: ClusterModel | None = None
-    for i in range(restarts):
-        run_seed = seed + i
-        model = lloyd(matrix, kmeanspp_init(matrix, k, run_seed, _canon=canon),
-                      max_iter=max_iter, tol=tol, seed=run_seed, _canon=canon)
-        if best is None or model.wcss < best.wcss:
-            best = model
-    return best
+    runs = [lloyd(matrix, kmeanspp_init(matrix, k, seed + i, _canon=canon),
+                  max_iter=max_iter, tol=tol, seed=seed + i, _canon=canon, _exact=False)
+            for i in range(restarts)]
+    cutoff = min(run.wcss for run in runs) + NEAR_TIE * float(canon.sq_norms.sum())
+    finalists = [_make_exact(canon, run) for run in runs if run.wcss <= cutoff]
+    return min(finalists, key=lambda run: run.wcss)  # min keeps the first of equals
 
 
 def choose_elbow(k_values: list[int], wcss_values: list[float]) -> int:

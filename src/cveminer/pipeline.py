@@ -406,7 +406,8 @@ def _cluster(run: _Run) -> dict:
     run.write("cluster_model.json", clustering.dump_model(model), model)
     run.write("assignments.jsonl", clustering.dump_assignments(matrix.ids, model.assignments),
               {i: int(c) for i, c in zip(matrix.ids, model.assignments)})
-    return {"k": model.k, "wcss": model.wcss, "iterations": model.iterations}
+    return {"k": model.k, "wcss": model.wcss, "iterations": model.iterations,
+            "converged": model.converged}
 
 
 def _topics(run: _Run) -> dict:

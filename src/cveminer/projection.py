@@ -125,6 +125,13 @@ def conditional_affinities(rows: np.ndarray, perplexity: float) -> np.ndarray:
         beta_min[act], beta_max[act] = lo, hi
         h[act] = _gaussian_rows(d[act], beta[act])[2]
     kernel, total, _ = _gaussian_rows(d, beta)
+    under = np.flatnonzero(~kernel.any(axis=1))
+    if under.size:
+        # a row whose bisection ran out of steps with its kernel underflowed:
+        # shifting its distances by their minimum changes only the scale
+        shifted = d[under] - d[under].min(axis=1, keepdims=True)
+        kernel[under] = np.exp(-beta[under, None] * shifted)
+        total[under] = kernel[under].sum(axis=1)
     p = np.zeros((n, n))
     p[off] = (kernel / total[:, None]).ravel()
     return p

@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from conftest import blob_matrix, label_purity, random_matrix
-from cveminer.clustering import (ClusterModel, _repair_empty, choose_elbow,
+from cveminer.clustering import (ClusterModel, _canonical, _repair_empty, choose_elbow,
                                  elbow_select, fit_best_of, kmeanspp_init, lloyd,
                                  representatives)
 from cveminer.errors import KTooLarge, RangeError
@@ -215,8 +215,8 @@ def _shuffled(matrix, seed):
                            dim=matrix.dim, model_id=matrix.model_id)
 
 
-def _with_duplicates(seed):
-    rows = np.random.default_rng(seed).normal(size=(30, 4))
+def _with_duplicates(seed, dim=4):
+    rows = np.random.default_rng(seed).normal(size=(30, dim))
     return matrix_from_rows(np.vstack([rows, rows[:10], rows[:5], rows[:1]]))
 
 
@@ -250,6 +250,77 @@ def test_elbow_scan_matches_direct_reference():
                         for i in range(3))
                     for k in range(2, 7)]
         assert curve.wcss_values == expected
+
+
+@pytest.mark.parametrize("kind", ["normal", "blobs", "duplicates"])
+def test_gram_kernels_match_direct_reference_bit_for_bit(kind):
+    # fewer rows than dimensions: the steps run on the Gram matrix
+    for seed in range(20):
+        if kind == "normal":
+            base = random_matrix(600 + seed, 60, 200)
+        elif kind == "blobs":
+            base = blob_matrix(600 + seed, n_per_blob=20, n_blobs=4, dim=150, sigma=0.3)[0]
+        else:
+            base = _with_duplicates(600 + seed, dim=100)
+        matrix = _shuffled(base, seed)
+        assert _canonical(matrix).gram is not None
+        for k in (1, 2, 4, 7):
+            init = kmeanspp_init(matrix, k, seed)
+            assert init.tobytes() == _oracle_kmeanspp(matrix, k, seed).tobytes()
+            model = lloyd(matrix, init)
+            assignments, centroids, wcss, iterations, converged = _oracle_lloyd(matrix, init)
+            assert np.array_equal(model.assignments, assignments), (kind, seed, k)
+            assert model.centroids.tobytes() == centroids.tobytes()
+            assert model.wcss == wcss and model.wcss_history[-1] == wcss
+            assert (model.iterations, model.converged) == (iterations, converged)
+
+
+def _oracle_fit_best_of(matrix, k, seed, restarts):
+    """Every restart recomputed exactly; the smallest wcss wins, the earlier on a tie."""
+    best = None
+    for i in range(restarts):
+        model = lloyd(matrix, kmeanspp_init(matrix, k, seed + i), seed=seed + i)
+        if best is None or model.wcss < best.wcss:
+            best = model
+    return best
+
+
+@pytest.mark.parametrize("n,dim", [(60, 200), (46, 100), (120, 24)])
+def test_fit_best_of_and_elbow_match_select_by_exact_wcss(n, dim):
+    for seed in range(8):
+        if n == 46:
+            matrix = _shuffled(_with_duplicates(700 + seed, dim=dim), seed)
+        else:
+            matrix = blob_matrix(700 + seed, n_per_blob=n // 4, n_blobs=4, dim=dim, sigma=0.6)[0]
+        for k in (2, 4, 7):
+            got = fit_best_of(matrix, k, seed, restarts=4)
+            want = _oracle_fit_best_of(matrix, k, seed, 4)
+            assert (got.seed, got.wcss, got.iterations, got.converged) == \
+                (want.seed, want.wcss, want.iterations, want.converged)
+            assert np.array_equal(got.assignments, want.assignments)
+            assert got.centroids.tobytes() == want.centroids.tobytes()
+            assert got.wcss_history[-1] == want.wcss
+        curve = elbow_select(matrix, 2, 6, seed=seed, restarts=3)
+        expected = [_oracle_fit_best_of(matrix, k, seed, 3).wcss for k in range(2, 7)]
+        assert curve.wcss_values == expected
+        assert curve.chosen_k == choose_elbow(list(range(2, 7)), expected)
+
+
+def test_fit_best_of_keeps_the_earlier_of_equal_restarts():
+    # the corners of a unit square: splitting it left/right or top/bottom
+    # gives the same wcss, exactly 1.0
+    rows = np.zeros((4, 8))
+    rows[:, :2] = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    matrix = matrix_from_rows(rows)
+    for seed in (1, 5):
+        runs = [lloyd(matrix, kmeanspp_init(matrix, 2, seed + i), seed=seed + i) for i in range(7)]
+        ties = [run for run in runs if run.wcss == 1.0]
+        partitions = {frozenset(frozenset(np.flatnonzero(run.assignments == j)) for j in (0, 1))
+                      for run in ties}
+        assert min(run.wcss for run in runs) == 1.0 and len(partitions) == 2
+        best = fit_best_of(matrix, 2, seed, restarts=7)
+        assert best.seed == ties[0].seed
+        assert np.array_equal(best.assignments, ties[0].assignments)
 
 
 def test_kmeanspp_never_picks_a_duplicate_of_a_chosen_row():

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import random
@@ -465,6 +466,7 @@ class _Script:
         self.lock = threading.Lock()
 
 
+@contextlib.contextmanager
 def _serve(script):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -490,7 +492,12 @@ def _serve(script):
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    return server, f"http://127.0.0.1:{server.server_address[1]}/v1"
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 def _chat_payload(text):
@@ -499,8 +506,7 @@ def _chat_payload(text):
 
 def test_remote_chat_happy_path(monkeypatch):
     script = _Script([(200, _chat_payload("1"), 0)])
-    server, url = _serve(script)
-    try:
+    with _serve(script) as url:
         monkeypatch.setenv("LLM_API_KEY", "sekrit")
         config = ProviderConfig(kind="remote-chat", model_id="big-model", endpoint=url,
                                 timeout=5.0, retry_limit=0)
@@ -511,98 +517,75 @@ def test_remote_chat_happy_path(monkeypatch):
         assert sent["body"]["model"] == "big-model"
         assert sent["body"]["temperature"] == 0.0
         assert sent["body"]["messages"][0]["content"] == "DESC: firmware"
-    finally:
-        server.shutdown()
 
 
 def test_remote_chat_retries_on_429_then_succeeds():
     script = _Script([(429, {}, 0), (429, {}, 0), (200, _chat_payload("0"), 0)])
-    server, url = _serve(script)
-    try:
+    with _serve(script) as url:
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=5.0, retry_limit=3)
         result = complete(config, "p", backoff_base=0.0, sleep=NO_SLEEP)
         assert result.text == "0" and result.attempts == 3
-    finally:
-        server.shutdown()
 
 
 def test_remote_chat_gives_up_after_retries():
     script = _Script([(503, {}, 0)] * 3)
-    server, url = _serve(script)
-    try:
+    with _serve(script) as url:
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=5.0, retry_limit=2)
         with pytest.raises(ProviderError) as err:
             complete(config, "p", backoff_base=0.0, sleep=NO_SLEEP)
         assert err.value.status == 503
         assert len(script.requests) == 3
-    finally:
-        server.shutdown()
 
 
 def test_remote_chat_404_is_not_retried():
     script = _Script([(404, {"error": "nope"}, 0)])
-    server, url = _serve(script)
-    try:
+    with _serve(script) as url:
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=5.0, retry_limit=3)
         with pytest.raises(ProviderError) as err:
             complete(config, "p", backoff_base=0.0, sleep=NO_SLEEP)
         assert err.value.status == 404
         assert len(script.requests) == 1
-    finally:
-        server.shutdown()
 
 
 def test_remote_timeout_becomes_timeout_error():
     script = _Script([(200, _chat_payload("1"), 1.0)] * 2)
-    server, url = _serve(script)
-    try:
+    with _serve(script) as url:
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=0.2, retry_limit=1)
         with pytest.raises(TimeoutError):
             complete(config, "p", backoff_base=0.0, sleep=NO_SLEEP)
-    finally:
-        server.shutdown()
 
 
 def test_remote_embed_happy_path():
     script = _Script([(200, {"data": [{"embedding": [0.1, 0.2, 0.3]}]}, 0)])
-    server, url = _serve(script)
-    try:
+    with _serve(script) as url:
         config = ProviderConfig(kind="remote-embed", model_id="small-embedder",
                                 endpoint=url, timeout=5.0, retry_limit=0)
         vec = embed(config, "hello", sleep=NO_SLEEP)
         assert vec.dim == 3
         assert vec.values.tolist() == [0.1, 0.2, 0.3]
         assert script.requests[0]["body"] == {"model": "small-embedder", "input": "hello"}
-    finally:
-        server.shutdown()
 
 
 def test_remote_embed_records_provider_dimension():
     # dimension comes from the provider's response, e.g. a 3072-wide model
     values = [float(i) / 3072 for i in range(3072)]
     script = _Script([(200, {"data": [{"embedding": values}]}, 0)])
-    server, url = _serve(script)
-    try:
+    with _serve(script) as url:
         config = ProviderConfig(kind="remote-embed", model_id="text-embedding-3-large",
                                 endpoint=url, timeout=5.0, retry_limit=0)
         vec = embed(config, "hello", sleep=NO_SLEEP)
         assert vec.dim == 3072
         assert vec.model_id == "text-embedding-3-large"
-    finally:
-        server.shutdown()
 
 
 def test_remote_malformed_response():
     script = _Script([(200, {"nonsense": True}, 0)])
-    server, url = _serve(script)
-    try:
+    with _serve(script) as url:
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=5.0, retry_limit=0)
         with pytest.raises(ProviderError):
             complete(config, "p", sleep=NO_SLEEP)
-    finally:
-        server.shutdown()

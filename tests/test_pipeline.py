@@ -78,6 +78,8 @@ def test_pipeline_counts_and_artifacts(tmp_path):
                  "yearly_counts.csv", "manifest.json"):
         assert (outdir / name).exists(), name
     assert not (outdir / ".lock").exists()
+    model_doc = json.loads((outdir / "cluster_model.json").read_text(encoding="utf-8"))
+    assert by_name["cluster"]["counts"]["converged"] is model_doc["converged"] is True
 
 
 def test_pipeline_deterministic_across_runs(tmp_path):

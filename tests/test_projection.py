@@ -76,8 +76,11 @@ def test_conditional_affinities_match_row_oracle_with_a_row_out_of_steps(radius)
     rows[0] = 0.0
     want, steps = _conditional_affinities_oracle(rows, 10.0)
     assert steps[0] == MAX_BISECTIONS and steps[1:].max() < MAX_BISECTIONS
+    assert (want[0].sum() == 0.0) == (radius == 3.0)  # the oracle keeps the zero row
     got = conditional_affinities(rows, 10.0)
-    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(got[1:] - want[1:]).max() <= 1e-12
+    assert got[0, 0] == 0.0 and np.abs(got[0, 1:] - 1.0 / 59).max() <= 1e-12
+    assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_conditional_affinities_match_row_oracle_at_cold_scale():
