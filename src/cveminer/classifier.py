@@ -6,6 +6,12 @@ line, so descriptions with quotes or newlines stay a single well-formed
 entry.  Model outputs are parsed leniently but never guessed: an output
 with no recognizable 0/1 token is routed to the failure queue for human
 review instead of defaulting.
+
+The prompt payload and the ``dump_predictions`` lines are built with
+``json.encoder.encode_basestring``, the function ``json.dumps(...,
+ensure_ascii=False)`` itself calls for every string, so their bytes equal
+``json.dumps`` of the same objects.  Cache keys hash the prompt, so a prompt
+that changed by one byte would bill every record again.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ import json
 import re
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_str
 
 from . import gateway
 from .assets import asset_text
-from .corpus import CveRecord, LabeledCve
+from .corpus import CveRecord, LabeledCve, _escape_line_breaks
 from .errors import DuplicatePrediction, MissingPrediction, UnparseableLabel
 
 HARDWARE = 1
@@ -80,9 +87,8 @@ def build_hwsw_prompt(template: PromptTemplate, record: CveRecord) -> str:
     """Render the classification prompt for one record (deterministic)."""
     if template.name != "hwsw":
         raise ValueError(f"expected the hwsw template, got {template.name!r}")
-    payload = json.dumps({"id": record.id, "description": record.description},
-                         ensure_ascii=False)
-    return f"{template.system_text}\nThe following is CVE information:\nDESC: {payload}"
+    return (f"{template.system_text}\nThe following is CVE information:\n"
+            f'DESC: {{"id": {_json_str(record.id)}, "description": {_json_str(record.description)}}}')
 
 
 def parse_label(raw: str) -> int:
@@ -164,10 +170,14 @@ def evaluate(predictions: list[Prediction], labels: list[LabeledCve]) -> Validat
 
 
 def dump_predictions(predictions: list[Prediction]) -> bytes:
-    lines = [json.dumps({"id": p.id, "label": p.label, "raw": p.raw_output, "model": p.model_id},
-                        ensure_ascii=False)
-             for p in predictions]
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    """One ``{id, label, raw, model}`` line per prediction, line breaks escaped
+    as in ``corpus.dump_records``."""
+    # raw outputs and model ids take a handful of values; encode each once
+    distinct = {p.raw_output for p in predictions} | {p.model_id for p in predictions}
+    encoded = {t: _json_str(t) for t in distinct}
+    text = "".join([f'{{"id": {_json_str(p.id)}, "label": {p.label}, "raw": {encoded[p.raw_output]}, '
+                    f'"model": {encoded[p.model_id]}}}\n' for p in predictions])
+    return _escape_line_breaks(text).encode("utf-8")
 
 
 def load_predictions(data: bytes) -> list[Prediction]:

@@ -12,6 +12,11 @@ Two ingestion formats are supported:
 Malformed entries are never dropped silently: parsing returns the valid
 records plus a list of rejects with reasons, so corpus statistics stay
 auditable.
+
+``dump_records`` writes each line with ``json.encoder.encode_basestring``,
+the function ``json.dumps(..., ensure_ascii=False)`` itself calls for every
+string, so its bytes equal ``json.dumps`` of the ``{id, description,
+source}`` object; raw U+0085, U+2028 and U+2029 are then escaped.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_str
 
 from .errors import DecodeError, DuplicateIdError, FormatError, PatternError, RangeError
 
@@ -28,10 +34,6 @@ CVE_ID_RE = re.compile(r"^CVE-(\d{4})-(\d{4,7})$")
 # Hyphen look-alikes that appear in copy-pasted id lists (non-breaking
 # hyphen, en dash, minus sign, ...); normalized to ASCII before validation.
 _HYPHEN_VARIANTS = dict.fromkeys("‐‑‒–—−", "-")
-
-# Line breaks other than "\n" that json.dumps(ensure_ascii=False) leaves raw;
-# dump_records escapes them so its lines stay whole for line-oriented tools.
-_RAW_LINE_BREAKS = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
 
 PARSE_FORMATS = ("canonical-jsonl", "nvd-feed")
 
@@ -199,13 +201,17 @@ def parse_records(data: bytes, format: str = "canonical-jsonl") -> tuple[list[Cv
     return _parse_nvd(text)
 
 
+def _escape_line_breaks(text: str) -> str:
+    """Escape the line breaks other than "\\n" that ``encode_basestring`` leaves
+    raw, so jsonl lines stay whole for line-oriented tools (``splitlines``)."""
+    return text.replace("\x85", "\\u0085").replace("\u2028", "\\u2028").replace("\u2029", "\\u2029")
+
+
 def dump_records(records: list[CveRecord]) -> bytes:
     """Serialize records to canonical jsonl; re-parsing round-trips exactly."""
-    lines = []
-    for r in records:
-        lines.append(json.dumps({"id": r.id, "description": r.description, "source": r.source},
-                                ensure_ascii=False).translate(_RAW_LINE_BREAKS))
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    text = "".join([f'{{"id": {_json_str(r.id)}, "description": {_json_str(r.description)}, '
+                    f'"source": {_json_str(r.source)}}}\n' for r in records])
+    return _escape_line_breaks(text).encode("utf-8")
 
 
 def filter_by_years(records: list[CveRecord], start: int, end: int) -> list[CveRecord]:

@@ -10,10 +10,13 @@ the config.
 after NFC normalization, as ``cache_key`` sees them, count as one), from at
 most ``max_parallel`` workers (the calling thread is one) that pull the next
 index from a shared iterator.  Answers go to ``ResponseCache``, a jsonl
-file opened once for unbuffered appending, one ``write`` call per line.  A
-chat answer is stored as its text (``"value"``); an embedding as the base64
-text of its little-endian float64 bytes (``"f64"``, see
-``vectors.encode_f64``), which loads back as a read-only float64 array.
+file opened once for unbuffered appending, one ``write`` call per line.  Each
+line is built with ``json.encoder.encode_basestring``, the function
+``json.dumps(..., ensure_ascii=False)`` itself calls for every string, so its
+bytes equal ``json.dumps`` of the same object.  A chat answer is stored as
+its text (``"value"``); an embedding as the base64 text of its little-endian
+float64 bytes (``"f64"``, see ``vectors.encode_f64``), which loads back as a
+read-only float64 array.
 Lines written before that, holding the vector as a decimal ``"value"``
 list, still load and still count as answered.  ``embed`` keeps the vector
 as an array from the provider through the cache to its ``EmbeddingVector``.
@@ -41,6 +44,7 @@ attempt fail; a trailing integer token sets the embedding dimension
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -51,6 +55,7 @@ import time
 import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -124,13 +129,17 @@ class BatchItem:
     error: Exception | None = None
 
 
+@functools.cache
+def _key_prefix(kind: str, model_id: str):
+    # shared by every caller: copy it, never update it
+    return hashlib.sha256(f"{kind}\x00{model_id}\x00".encode("utf-8"))
+
+
 def cache_key(kind: str, model_id: str, text: str) -> str:
     """Stable digest of (kind, model, NFC-normalized input)."""
-    normalized = unicodedata.normalize("NFC", text)
-    h = hashlib.sha256()
-    for part in (kind, model_id, normalized):
-        h.update(part.encode("utf-8"))
-        h.update(b"\x00")
+    h = _key_prefix(kind, model_id).copy()
+    h.update(unicodedata.normalize("NFC", text).encode("utf-8"))
+    h.update(b"\x00")
     return h.hexdigest()
 
 
@@ -140,13 +149,14 @@ class ResponseCache:
     Lines are split on ``"\\n"`` only, so a value holding U+2028, U+2029 or
     U+0085 (written raw by ``ensure_ascii=False``) loads back intact.  A last
     line without its newline is the torn tail of an interrupted append: it is
-    ignored and cut off before the next append.  The file is opened once, on
-    the first ``put``, for unbuffered appending.  ``put`` claims its key
-    under the lock, so each distinct key is written once, and then writes
-    its whole line with one ``write`` call outside the lock: ``O_APPEND``
-    keeps concurrent lines whole, and the line is in the kernel before
-    ``put`` returns.  ``get`` takes no lock.  ``close`` releases the file; a
-    later put reopens it.
+    ignored, its length is kept in ``torn_bytes`` (0 when the file ends on a
+    whole line), and it is cut off before the next append.  The file is
+    opened once, on the first ``put``, for unbuffered appending.  ``put``
+    claims its key under the lock, so each distinct key is written once, and
+    then writes its whole line with one ``write`` call outside the lock:
+    ``O_APPEND`` keeps concurrent lines whole, and the line is in the kernel
+    before ``put`` returns.  ``get`` takes no lock.  ``close`` releases the
+    file; a later put reopens it.
     """
 
     def __init__(self, path):
@@ -155,11 +165,13 @@ class ResponseCache:
         self._entries: dict[str, object] = {}
         self._fh = None
         self._truncate_to = None  # end of the last complete line, when a torn tail follows
+        self.torn_bytes = 0
         if self.path.exists():
             data = self.path.read_bytes()
             complete = data.rfind(b"\n") + 1
             if complete < len(data):
                 self._truncate_to = complete
+                self.torn_bytes = len(data) - complete
             for line in data[:complete].decode("utf-8").split("\n"):
                 if not line.strip():
                     continue
@@ -176,10 +188,15 @@ class ResponseCache:
 
     def put(self, key: str, kind: str, model_id: str, value) -> None:
         """Store one answer: a string, or a float64 vector as its ``"f64"`` text."""
-        stored = {"f64": encode_f64(value)} if isinstance(value, np.ndarray) else {"value": value}
-        data = (json.dumps({"key": key, "kind": kind, "model": model_id, **stored,
-                            "created_at": datetime.now(timezone.utc).isoformat()},
-                           ensure_ascii=False) + "\n").encode("utf-8")
+        if isinstance(value, np.ndarray):
+            stored = f'"f64": "{encode_f64(value)}"'  # base64 needs no escaping
+        elif isinstance(value, str):
+            stored = f'"value": {_json_str(value)}'
+        else:
+            stored = f'"value": {json.dumps(value, ensure_ascii=False)}'
+        data = (f'{{"key": {_json_str(key)}, "kind": {_json_str(kind)}, '
+                f'"model": {_json_str(model_id)}, {stored}, '
+                f'"created_at": "{datetime.now(timezone.utc).isoformat()}"}}\n').encode("utf-8")
         with self._lock:
             if key in self._entries:
                 return
@@ -232,6 +249,14 @@ def _mock_tokens(model_id: str) -> list[str]:
     return model_id.lower().split("-")
 
 
+@functools.cache
+def _mock_failure_plan(model_id: str) -> tuple[bool, int]:
+    """(every attempt fails, flaky budget) from the model id's tokens."""
+    tokens = _mock_tokens(model_id)
+    flaky = next((t for t in tokens if t.startswith("flaky") and t[5:].isdigit()), None)
+    return "fail" in tokens, int(flaky[5:]) if flaky else 0
+
+
 def mock_embed_dim(model_id: str) -> int:
     tokens = _mock_tokens(model_id)
     if tokens and tokens[-1].isdigit():
@@ -240,12 +265,11 @@ def mock_embed_dim(model_id: str) -> int:
 
 
 def _mock_maybe_fail(model_id: str, text: str) -> None:
-    tokens = _mock_tokens(model_id)
-    if "fail" in tokens or TEXT_FAIL_MARKER in text:
+    always_fail, budget = _mock_failure_plan(model_id)
+    marked = "mock::" in text
+    if always_fail or (marked and TEXT_FAIL_MARKER in text):
         raise _Transient(503, "mock provider configured to fail")
-    flaky = next((t for t in tokens if t.startswith("flaky") and t[5:].isdigit()), None)
-    budget = int(flaky[5:]) if flaky else 0
-    marker = _TEXT_FLAKY.search(text)
+    marker = _TEXT_FLAKY.search(text) if marked else None
     if marker:
         budget = max(budget, int(marker.group(1)))
     if budget > 0:
@@ -267,13 +291,13 @@ def keyword_class(text: str, keywords=DEFAULT_HW_KEYWORDS) -> str | None:
 
 
 def mock_chat_reply(model_id: str, prompt: str, keywords=DEFAULT_HW_KEYWORDS) -> str:
-    # split on "\n" only: a description may hold U+2028 and the like, which
+    # lines end at "\n" only: a description may hold U+2028 and the like, which
     # str.splitlines would break the DESC: line at
-    lines = prompt.split("\n")
-    for line in lines:
-        if line.startswith("DESC:"):
-            return "1" if keyword_class(line, keywords) else "0"
-    for line in lines:
+    start = ("\n" + prompt).find("\nDESC:")  # where the first DESC: line starts
+    if start >= 0:
+        line = prompt[start:].partition("\n")[0]
+        return "1" if keyword_class(line, keywords) else "0"
+    for line in prompt.split("\n"):
         if line.startswith("Keywords:"):
             terms = [t.strip() for t in line[len("Keywords:"):].split(",") if t.strip()]
             return "topic: " + " ".join(terms[:4])

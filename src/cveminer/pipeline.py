@@ -29,7 +29,9 @@ holder dies, so a killed run does not block the next.
 The response cache lives at its own configured path (outside the artifact
 tree), so re-runs never re-bill completed provider calls.  It is opened only
 when a stage computes, so a fully cached re-run never loads it, and closed
-when the run ends.
+when the run ends.  The manifest's ``cache_torn_bytes`` is the length of the
+torn last line the run dropped from it: 0 when the cache ends on a whole
+line or the run never loaded it.  No artifact carries that number.
 """
 
 from __future__ import annotations
@@ -233,7 +235,8 @@ def _effective_perplexity(configured: float, n: int) -> float:
     return min(configured, (n - 1) / 3.0 - 1e-9)
 
 
-def _write_manifest(config: PipelineConfig, stages: list[dict], planned: dict | None = None) -> dict:
+def _write_manifest(config: PipelineConfig, stages: list[dict], planned: dict | None = None,
+                    cache_torn_bytes: int | None = None) -> dict:
     doc = {
         "run_id": _digest_params(config.identity())[:16],
         "seed": config.seed,
@@ -243,6 +246,8 @@ def _write_manifest(config: PipelineConfig, stages: list[dict], planned: dict | 
     }
     if planned is not None:
         doc["planned"] = planned
+    if cache_torn_bytes is not None:
+        doc["cache_torn_bytes"] = cache_torn_bytes
     _write(Path(config.output_dir) / "manifest.json", _json_bytes(doc))
     return doc
 
@@ -299,6 +304,9 @@ class _Run:
     @cached_property
     def cache(self) -> gateway.ResponseCache:
         return gateway.ResponseCache(self.config.cache_path)
+
+    def cache_torn_bytes(self) -> int:
+        return self.cache.torn_bytes if "cache" in vars(self) else 0
 
     @cached_property
     def hwsw_template(self) -> classifier.PromptTemplate:
@@ -595,7 +603,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
                 run.counts[stage.name] = record["counts"]
                 run.digests.update(record["outputs"])
                 if record["status"] == "computed":
-                    _write_manifest(config, run.stages)
+                    _write_manifest(config, run.stages, cache_torn_bytes=run.cache_torn_bytes())
             if until is not None:
                 # later stages' files stay on disk, so keep their records: the
                 # next run can then reuse them, or delete what they no longer write
@@ -604,7 +612,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
         finally:
             if "cache" in vars(run):
                 run.cache.close()
-            doc = _write_manifest(config, run.stages)
+            doc = _write_manifest(config, run.stages, cache_torn_bytes=run.cache_torn_bytes())
         return doc
 
 

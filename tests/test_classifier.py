@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -191,3 +192,25 @@ def test_predictions_round_trip():
              Prediction("CVE-2021-0002", 0, "Result: 0", "m")]
     again = classifier.load_predictions(classifier.dump_predictions(preds))
     assert again == preds
+
+
+def test_predictions_round_trip_raw_line_separators():
+    preds = [Prediction("CVE-2021-0001", 1, f"1{sep}yes", "m")
+             for sep in ("\x85", "\u2028", "\u2029")]
+    data = classifier.dump_predictions(preds)
+    assert data.count(b"\n") == len(preds)
+    assert classifier.load_predictions(data) == preds
+
+
+# Pinned at a release whose prompts and records.jsonl were written with
+# json.dumps: a change to either rendering re-bills every cached
+# classification, so it must fail here first.
+MINI_PROMPT_KEYS_SHA256 = "d050f185df9645f6bedf4b194dbe6aa9b8698b9b599eb8d6d6762f519a569c46"
+MINI_RECORDS_SHA256 = "85db535569a7670f16130ecb514b7aba10359703b4d0cf1f7442237a019bade1"
+
+
+def test_prompt_cache_keys_and_records_are_pinned(mini_records, hwsw):
+    keys = [gateway.cache_key("chat", "mock-hwsw", build_hwsw_prompt(hwsw, r))
+            for r in mini_records]
+    assert hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest() == MINI_PROMPT_KEYS_SHA256
+    assert hashlib.sha256(corpus.dump_records(mini_records)).hexdigest() == MINI_RECORDS_SHA256

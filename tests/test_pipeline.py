@@ -175,6 +175,20 @@ def test_pipeline_split_runs_match_one_shot(tmp_path):
     assert stripped_manifest(tmp_path / "out") == stripped_manifest(tmp_path / "one_shot")
 
 
+def test_pipeline_manifest_reports_torn_cache_tail(tmp_path):
+    clean = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    assert clean["cache_torn_bytes"] == 0
+    torn = b'{"key": "0123", "kind": "chat", "mo'  # an append cut off mid-line
+    with open(tmp_path / "cache" / "responses.jsonl", "ab") as fh:
+        fh.write(torn)
+    rerun = PipelineConfig.from_dict(write_config(tmp_path, output_dir=str(tmp_path / "rerun")))
+    manifest = run_pipeline(rerun)
+    assert manifest["cache_torn_bytes"] == len(torn)
+    on_disk = json.loads((tmp_path / "rerun" / "manifest.json").read_text(encoding="utf-8"))
+    assert on_disk["cache_torn_bytes"] == len(torn)
+    assert tree_bytes(tmp_path / "rerun") == tree_bytes(tmp_path / "out")
+
+
 def test_pipeline_cached_rerun_never_opens_response_cache(tmp_path, monkeypatch):
     config = PipelineConfig.from_dict(write_config(tmp_path))
     run_pipeline(config)
