@@ -24,30 +24,26 @@ def fixture_bytes(name: str) -> bytes:
 @lru_cache(maxsize=None)
 def stopwords() -> frozenset[str]:
     """The bundled English stopword list (one lowercase term per line)."""
-    return _load_termfile("stopwords.txt")
+    return _parse_terms(asset_text("stopwords.txt"))
 
 
 @lru_cache(maxsize=None)
 def blocklist() -> frozenset[str]:
     """Bundled vendor/product noise terms removed from keyword profiles."""
-    return _load_termfile("blocklist.txt")
-
-
-def _load_termfile(name: str) -> frozenset[str]:
-    terms = set()
-    for line in asset_text(name).splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            terms.add(line)
-    return frozenset(terms)
+    return _parse_terms(asset_text("blocklist.txt"))
 
 
 def load_termfile_path(path) -> frozenset[str]:
     """Read a user-supplied term file (same layout as the bundled ones)."""
-    terms = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip().lower()
-            if line and not line.startswith("#"):
-                terms.add(line)
+        return _parse_terms(fh.read())
+
+
+def _parse_terms(text: str) -> frozenset[str]:
+    """One term per line, lowercased; blank lines and ``#`` comment lines are skipped."""
+    terms = set()
+    for line in text.split("\n"):
+        line = line.strip().lower()
+        if line and not line.startswith("#"):
+            terms.add(line)
     return frozenset(terms)

@@ -16,7 +16,6 @@ that changed by one byte would bill every record again.
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import dataclass
@@ -179,12 +178,3 @@ def dump_predictions(predictions: list[Prediction]) -> bytes:
                     f'"model": {encoded[p.model_id]}}}\n' for p in predictions])
     return _escape_line_breaks(text).encode("utf-8")
 
-
-def load_predictions(data: bytes) -> list[Prediction]:
-    predictions = []
-    for line in data.decode("utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        predictions.append(Prediction(obj["id"], int(obj["label"]), obj["raw"], obj["model"]))
-    return predictions

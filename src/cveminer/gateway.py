@@ -2,9 +2,10 @@
 
 Remote providers speak the common HTTP+JSON interfaces: a chat-completions
 endpoint (message list in, first choice text out) and an embeddings
-endpoint (input text in, float array out).  The bearer token comes from the
-``LLM_API_KEY`` environment variable; endpoint and model always come from
-the config.
+endpoint (input text in, float array out).  Both go through one POST path,
+``_post``, and each only pulls its answer out of the JSON reply.  The bearer
+token comes from the ``LLM_API_KEY`` environment variable; endpoint and
+model always come from the config.
 
 ``run_batch`` dispatches each distinct input once (inputs that are equal
 after NFC normalization, as ``cache_key`` sees them, count as one), from at
@@ -325,15 +326,25 @@ def mock_embed_vector(model_id: str, text: str, keywords=DEFAULT_HW_KEYWORDS) ->
 
 # --- remote providers -------------------------------------------------------
 
-def _auth_headers() -> dict[str, str]:
+def _post(config: ProviderConfig, payload: dict) -> dict:
+    """POST `payload` as JSON to the provider's endpoint; return the JSON reply.
+
+    A timeout, a failed connection or a retryable status raises `_Transient`;
+    any other status but 200, or a reply that is not JSON, raises ProviderError.
+    """
+    import requests
+
     headers = {"Content-Type": "application/json"}
     token = os.environ.get("LLM_API_KEY")
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    return headers
-
-
-def _check_response(resp) -> dict:
+    try:
+        resp = requests.post(config.endpoint, json=payload, headers=headers,
+                             timeout=config.timeout)
+    except requests.Timeout:
+        raise _Transient(None, "timeout")
+    except requests.RequestException as exc:
+        raise _Transient(None, f"connection failure: {exc}")
     if resp.status_code in RETRYABLE_STATUS:
         raise _Transient(resp.status_code, resp.text)
     if resp.status_code != 200:
@@ -342,46 +353,6 @@ def _check_response(resp) -> dict:
         return resp.json()
     except ValueError:
         raise ProviderError(resp.status_code, f"non-json response: {resp.text[:200]}")
-
-
-def _remote_chat(config: ProviderConfig, prompt: str) -> str:
-    import requests
-
-    payload = {
-        "model": config.model_id,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": config.temperature,
-    }
-    try:
-        resp = requests.post(config.endpoint, json=payload,
-                             headers=_auth_headers(), timeout=config.timeout)
-    except requests.Timeout:
-        raise _Transient(None, "timeout")
-    except requests.RequestException as exc:
-        raise _Transient(None, f"connection failure: {exc}")
-    data = _check_response(resp)
-    try:
-        return str(data["choices"][0]["message"]["content"])
-    except (KeyError, IndexError, TypeError):
-        raise ProviderError(200, f"malformed chat response: {json.dumps(data)[:200]}")
-
-
-def _remote_embed(config: ProviderConfig, text: str) -> np.ndarray:
-    import requests
-
-    payload = {"model": config.model_id, "input": text}
-    try:
-        resp = requests.post(config.endpoint, json=payload,
-                             headers=_auth_headers(), timeout=config.timeout)
-    except requests.Timeout:
-        raise _Transient(None, "timeout")
-    except requests.RequestException as exc:
-        raise _Transient(None, f"connection failure: {exc}")
-    data = _check_response(resp)
-    try:
-        return np.array([float(x) for x in data["data"][0]["embedding"]], dtype=np.float64)
-    except (KeyError, IndexError, TypeError, ValueError):
-        raise ProviderError(200, f"malformed embedding response: {json.dumps(data)[:200]}")
 
 
 # --- retry loop and public operations ---------------------------------------
@@ -420,7 +391,13 @@ def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = 
         if config.is_mock:
             _mock_maybe_fail(config.model_id, prompt)
             return mock_chat_reply(config.model_id, prompt)
-        return _remote_chat(config, prompt)
+        data = _post(config, {"model": config.model_id,
+                              "messages": [{"role": "user", "content": prompt}],
+                              "temperature": config.temperature})
+        try:
+            return str(data["choices"][0]["message"]["content"])
+        except (KeyError, IndexError, TypeError):
+            raise ProviderError(200, f"malformed chat response: {json.dumps(data)[:200]}")
 
     start = time.perf_counter()
     text, attempts = _with_retries(config, call, backoff_base, sleep)
@@ -448,7 +425,11 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
         if config.is_mock:
             _mock_maybe_fail(config.model_id, text)
             return mock_embed_vector(config.model_id, text)
-        return _remote_embed(config, text)
+        data = _post(config, {"model": config.model_id, "input": text})
+        try:
+            return np.array([float(x) for x in data["data"][0]["embedding"]], dtype=np.float64)
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise ProviderError(200, f"malformed embedding response: {json.dumps(data)[:200]}")
 
     values, _ = _with_retries(config, call, backoff_base, sleep)
     if config.is_mock and len(values) != mock_embed_dim(config.model_id):

@@ -25,7 +25,9 @@ a crash of the machine.
 
 An output directory is guarded by an exclusive ``flock`` on its ``.lock``
 file; two runs may not share one.  The kernel releases the lock when its
-holder dies, so a killed run does not block the next.
+holder dies, so a killed run does not block the next.  A dry run takes the
+lock too, and its manifest keeps the previous run's stage records next to
+the ``planned`` calls, since that run's files stay on disk.
 The response cache lives at its own configured path (outside the artifact
 tree), so re-runs never re-bill completed provider calls.  It is opened only
 when a stage computes, so a fully cached re-run never loads it, and closed
@@ -98,43 +100,17 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        corpus_doc = doc.get("corpus", {})
-        providers = doc.get("providers", {})
-        clustering_doc = doc.get("clustering", {})
-        topics_doc = doc.get("topics", {})
-        projection_doc = doc.get("projection", {})
-        report_doc = doc.get("report", {})
-        years = corpus_doc.get("years")
-        elbow = clustering_doc.get("elbow_range", [2, 10])
-        return cls(
-            corpus_paths=list(corpus_doc.get("paths", [])),
-            corpus_format=corpus_doc.get("format", "canonical-jsonl"),
-            years=tuple(years) if years else None,
-            seed=int(doc.get("seed", 0)),
-            chat_provider=gateway.ProviderConfig(**providers.get(
-                "chat", {"kind": "mock-chat", "model_id": "mock-hwsw"})),
-            embed_provider=gateway.ProviderConfig(**providers.get(
-                "embed", {"kind": "mock-embed", "model_id": "mock-embed-64"})),
-            template_path=doc.get("classifier", {}).get("template_path"),
-            k=clustering_doc.get("k"),
-            elbow_range=(int(elbow[0]), int(elbow[1])),
-            restarts=int(clustering_doc.get("restarts", 8)),
-            max_iter=int(clustering_doc.get("max_iter", 300)),
-            tol=float(clustering_doc.get("tol", 1e-6)),
-            normalize=bool(clustering_doc.get("normalize", True)),
-            metric=clustering_doc.get("metric", "cosine"),
-            r=int(topics_doc.get("r", 15)),
-            m=int(report_doc.get("m", 10)),
-            per_document=bool(topics_doc.get("per_document", False)),
-            stopwords_path=topics_doc.get("stopwords_path"),
-            blocklist_path=topics_doc.get("blocklist_path"),
-            perplexity=float(projection_doc.get("perplexity", 30.0)),
-            tsne_iterations=int(projection_doc.get("iterations", 1000)),
-            learning_rate=float(projection_doc.get("learning_rate", 200.0)),
-            output_dir=doc["output_dir"],
-            cache_path=doc["cache_path"],
-            dry_run=bool(doc.get("dry_run", False)),
-        )
+        """Build from a config document; an absent key keeps the field's default."""
+        kwargs = {"corpus_paths": list(doc.get("corpus", {}).get("paths", [])),
+                  "output_dir": doc["output_dir"], "cache_path": doc["cache_path"]}
+        for name, (dotted, coerce) in _DOC_KEYS.items():
+            *sections, key = dotted.split(".")
+            node = doc
+            for section in sections:
+                node = node.get(section, {})
+            if key in node:
+                kwargs[name] = node[key] if coerce is None else coerce(node[key])
+        return cls(**kwargs)
 
     def identity(self) -> dict:
         """Config view that determines results (paths that are pure
@@ -145,6 +121,34 @@ class PipelineConfig:
         doc.pop("dry_run")
         doc.pop("corpus_paths")
         return doc
+
+
+# field -> (its dotted key in a config document, the coercion of a present
+# value, None for none); a key the document leaves out keeps the field's default
+_DOC_KEYS = {
+    "corpus_format": ("corpus.format", None),
+    "years": ("corpus.years", lambda v: tuple(v) if v else None),
+    "seed": ("seed", int),
+    "chat_provider": ("providers.chat", lambda v: gateway.ProviderConfig(**v)),
+    "embed_provider": ("providers.embed", lambda v: gateway.ProviderConfig(**v)),
+    "template_path": ("classifier.template_path", None),
+    "k": ("clustering.k", None),
+    "elbow_range": ("clustering.elbow_range", lambda v: (int(v[0]), int(v[1]))),
+    "restarts": ("clustering.restarts", int),
+    "max_iter": ("clustering.max_iter", int),
+    "tol": ("clustering.tol", float),
+    "normalize": ("clustering.normalize", bool),
+    "metric": ("clustering.metric", None),
+    "r": ("topics.r", int),
+    "per_document": ("topics.per_document", bool),
+    "stopwords_path": ("topics.stopwords_path", None),
+    "blocklist_path": ("topics.blocklist_path", None),
+    "perplexity": ("projection.perplexity", float),
+    "tsne_iterations": ("projection.iterations", int),
+    "learning_rate": ("projection.learning_rate", float),
+    "m": ("report.m", int),
+    "dry_run": ("dry_run", bool),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -552,21 +556,6 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
     if until is not None and until not in STAGES:
         raise ValueError(f"unknown stage {until!r}")
     outdir = Path(config.output_dir)
-
-    if config.dry_run:
-        records, rejects = _ingest_records(config)
-        template = classifier.load_template("hwsw", config.template_path)
-        planned = {
-            "classify_calls": len(records),
-            "classify_prompt_chars": sum(
-                len(classifier.build_hwsw_prompt(template, r)) for r in records),
-            "embed_calls_upper_bound": len(records),
-            "embed_chars_upper_bound": sum(len(r.description) for r in records),
-            "summarize_calls": config.k if config.k is not None else "chosen by elbow",
-            "note": "no provider was contacted; counts bound the billable calls",
-        }
-        return _write_manifest(config, [], planned=planned)
-
     with _Lock(outdir):
         for stale in outdir.glob("*" + _PARTIAL):  # left by a run killed mid-write
             stale.unlink()
@@ -575,6 +564,20 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
         if manifest_path.exists():
             doc = json.loads(manifest_path.read_text(encoding="utf-8"))
             previous = {s["name"]: s for s in doc.get("stages", [])}
+        if config.dry_run:
+            records, _ = _ingest_records(config)
+            template = classifier.load_template("hwsw", config.template_path)
+            planned = {
+                "classify_calls": len(records),
+                "classify_prompt_chars": sum(
+                    len(classifier.build_hwsw_prompt(template, r)) for r in records),
+                "embed_calls_upper_bound": len(records),
+                "embed_chars_upper_bound": sum(len(r.description) for r in records),
+                "summarize_calls": config.k if config.k is not None else "chosen by elbow",
+                "note": "no provider was contacted; counts bound the billable calls",
+            }
+            # the previous run's files stay on disk, so its records stay too
+            return _write_manifest(config, list(previous.values()), planned=planned)
         run = _Run(config)
         dirty = False
         try:

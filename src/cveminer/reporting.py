@@ -151,8 +151,7 @@ def validation_summary(report: ValidationReport | None,
 
 
 def review_export(failures: list[tuple[str, str]],
-                  blocked_labels: list[tuple[int, str, str]],
-                  low_margin_items: list[tuple[str, str, str]] = ()) -> str:
+                  blocked_labels: list[tuple[int, str, str]]) -> str:
     """Single human-review queue combining all items that need eyes.
 
     Entries carry id, pipeline stage, reason, and the raw text involved.
@@ -163,6 +162,4 @@ def review_export(failures: list[tuple[str, str]],
     for cluster, label, term in blocked_labels:
         queue.append({"id": f"cluster-{cluster}", "stage": "summarize",
                       "reason": "blocked term", "raw": label})
-    for item_id, reason, raw in low_margin_items:
-        queue.append({"id": item_id, "stage": "review", "reason": reason, "raw": raw})
     return json.dumps(queue, indent=2, ensure_ascii=False) + "\n"

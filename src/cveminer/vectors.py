@@ -1,8 +1,4 @@
-"""Embedding vectors and matrices: storage, normalization, similarity.
-
-All math is double precision.  Dot products use compensated summation
-(``math.fsum``) so that cosine similarity is exactly symmetric and stable
-for high-dimensional rows.
+"""Embedding vectors and matrices: storage and normalization, in double precision.
 
 Vectors are stored as the base64 text of their little-endian float64 bytes
 (``encode_f64`` / ``decode_f64``), in the response cache and in the
@@ -14,7 +10,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,37 +57,6 @@ class EmbeddingMatrix:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def vector(self, i: int) -> EmbeddingVector:
-        return EmbeddingVector(self.rows[i].copy(), self.dim, self.model_id)
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Compensated dot product; symmetric in its arguments by construction."""
-    return math.fsum((a * b).tolist())
-
-
-def norm(a: np.ndarray) -> float:
-    return math.sqrt(math.fsum((a * a).tolist()))
-
-
-def l2_normalize(v: EmbeddingVector) -> EmbeddingVector:
-    """Scale to unit L2 norm; the zero vector is rejected."""
-    n = norm(v.values)
-    if n == 0.0:
-        raise ZeroVectorError("cannot normalize the zero vector")
-    return EmbeddingVector(v.values / n, v.dim, v.model_id)
-
-
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity in [-1, 1], clamped against rounding."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
-    na, nb = norm(a.values), norm(b.values)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine undefined for the zero vector")
-    value = dot(a.values, b.values) / (na * nb)
-    return max(-1.0, min(1.0, value))
 
 
 def normalize_matrix(matrix: EmbeddingMatrix) -> EmbeddingMatrix:

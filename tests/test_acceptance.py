@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import blob_matrix, label_purity
+from matrices import blob_matrix, label_purity
 from cveminer import corpus
 from cveminer.assets import fixture_bytes
 from cveminer.classifier import ValidationReport

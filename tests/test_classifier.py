@@ -187,11 +187,20 @@ def test_counts_identity_from_counts():
     assert report.accuracy == (report.tp + report.tn) / report.n
 
 
+def _parsed_lines(data: bytes) -> list[dict]:
+    # splitlines, as a line reader would: a raw U+2028 in a value would split its line
+    return [json.loads(line) for line in data.decode("utf-8").splitlines()]
+
+
+def _fields(predictions: list[Prediction]) -> list[dict]:
+    return [{"id": p.id, "label": p.label, "raw": p.raw_output, "model": p.model_id}
+            for p in predictions]
+
+
 def test_predictions_round_trip():
     preds = [Prediction("CVE-2021-0001", 1, "1", "m"),
              Prediction("CVE-2021-0002", 0, "Result: 0", "m")]
-    again = classifier.load_predictions(classifier.dump_predictions(preds))
-    assert again == preds
+    assert _parsed_lines(classifier.dump_predictions(preds)) == _fields(preds)
 
 
 def test_predictions_round_trip_raw_line_separators():
@@ -199,7 +208,7 @@ def test_predictions_round_trip_raw_line_separators():
              for sep in ("\x85", "\u2028", "\u2029")]
     data = classifier.dump_predictions(preds)
     assert data.count(b"\n") == len(preds)
-    assert classifier.load_predictions(data) == preds
+    assert _parsed_lines(data) == _fields(preds)
 
 
 # Pinned at a release whose prompts and records.jsonl were written with

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from conftest import blob_matrix, label_purity, random_matrix
+from matrices import blob_matrix, label_purity, random_matrix
 from cveminer.clustering import (ClusterModel, _canonical, _repair_empty, choose_elbow,
                                  elbow_select, fit_best_of, kmeanspp_init, lloyd,
                                  representatives)

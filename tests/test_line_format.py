@@ -73,7 +73,9 @@ def test_dump_predictions_equals_json_dumps():
     predictions += [classifier.Prediction("CVE-2021-0002", 0, "0", "mock-hwsw")] * 3
     data = classifier.dump_predictions(predictions)
     assert data == _predictions_oracle(predictions)
-    assert classifier.load_predictions(data) == predictions
+    assert [json.loads(line) for line in data.decode("utf-8").splitlines()] == [
+        {"id": p.id, "label": p.label, "raw": p.raw_output, "model": p.model_id}
+        for p in predictions]
     assert classifier.dump_predictions([]) == b""
 
 

@@ -331,6 +331,98 @@ def test_pipeline_dry_run_contacts_no_provider(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+def test_pipeline_dry_run_keeps_previous_stage_records(tmp_path):
+    outdir = tmp_path / "out"
+    manifest = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, **{"clustering.k": 6})))
+    dry = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, dry_run=True)))
+    assert dry["stages"] == manifest["stages"] and "planned" in dry
+
+    run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, **{"clustering.k": 3})))
+    for j in range(3, 6):
+        assert not (outdir / f"term_weights_{j}.json").exists()
+        assert not (outdir / f"wordcloud_{j}.svg").exists()
+    fresh = write_config(tmp_path, output_dir=str(tmp_path / "fresh"),
+                         cache_path=str(tmp_path / "fresh_cache.jsonl"), **{"clustering.k": 3})
+    run_pipeline(PipelineConfig.from_dict(fresh))
+    assert tree_bytes(outdir) == tree_bytes(tmp_path / "fresh")
+
+
+def test_pipeline_dry_run_respects_the_output_dir_lock(tmp_path):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    with open(outdir / ".lock", "w") as holder:  # a live run's lock
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        with pytest.raises(OutputDirLocked):
+            run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, dry_run=True)))
+    assert not (outdir / "manifest.json").exists()
+
+
+# Pinned at a release: a config document must keep digesting to the same
+# run_id and stage input digests, or every output directory written before an
+# upgrade recomputes (a field read as int instead of float is enough).
+PINNED_RUN_IDS = {"minimal": "8e7f33a89550d536", "remote": "7e6a661ede972c8d"}
+PINNED_STAGE_DIGESTS = {
+    "example": ("8485eccde079e163", {
+        "ingest": "6cf7af2c5f78a79d0968a7dd39ec8c13d0124ec98d54567128ecc52a76f61fa2",
+        "classify": "8487c33d9a539d13cff0d846ad90bd2dc0edffdffc64fee9506ffa5b956dd79d",
+        "embed": "7f791552f7c597c968d76795fa1482baf4165418fe0dffca19ee48e0f1bfa179",
+        "cluster": "7b1b665de96b33e4b69395700ef488d6a8f8452c30f8d0a30ef7c05b6f1564ce",
+        "topics": "fbaa0be8b79021c3ab3d1c6a714d8f9bb7cd5f1892d98f2b4929ea0e05c57369",
+        "representatives": "a2dfcb8d8a051e7e0b77af82e86bf8d5e04023a086a5ba6cf74a84507acbf16d",
+        "project": "53dedbe1f793359c8e5cb77e873f35e303a4a1974985a6a458c3988bed861ef0",
+        "report": "75155d30571acf52d3a4ddb7ef61b1c33fa84295147b9fb629b58227983996c6"}),
+    "perfbench": ("ba9732f069430e48", {
+        "ingest": "939aa85d1f3ba5785c9101abbd4e3a870777b62ca6ffeb4211e78fd64d74d841",
+        "classify": "8487c33d9a539d13cff0d846ad90bd2dc0edffdffc64fee9506ffa5b956dd79d",
+        "embed": "b685fb10eb8b3a54d9922bd454e51860c8e0fac69330c3039ea89be50dc2c0a1",
+        "cluster": "4c4ab5747ace01ae3d504aa9419079249bf48c92b6b0da2c79bf441bdcd0a5d4",
+        "topics": "fbaa0be8b79021c3ab3d1c6a714d8f9bb7cd5f1892d98f2b4929ea0e05c57369",
+        "representatives": "793f212131e2997b5076b25b71177596b7070c1dafcc7c932259f93fdc74a775",
+        "project": "e35821a0675bccb15fb254c89690366d0191be3014892b559bc4957e2ea4c9c3",
+        "report": "42386c2d9649928f94b11b5a6728b059a8dd21bcb8336bb4ab4c98610ff61219"}),
+}
+
+
+def _pinned_doc(name: str) -> dict:
+    if name == "example":
+        return json.loads((Path(__file__).resolve().parents[1] / "demos" / "config.example.json")
+                          .read_text(encoding="utf-8"))
+    if name == "minimal":
+        return {"corpus": {"paths": ["corpus.jsonl"]}, "output_dir": "out",
+                "cache_path": "cache.jsonl"}
+    doc = {"seed": 7, "corpus": {"paths": ["corpus.jsonl"]},  # perfbench's pipeline_config
+           "providers": {"chat": {"kind": "mock-chat", "model_id": "mock-hwsw", "max_parallel": 2},
+                         "embed": {"kind": "mock-embed", "model_id": "mock-embed-3072",
+                                   "max_parallel": 2}},
+           "clustering": {"elbow_range": [2, 10]}, "projection": {"iterations": 1000},
+           "output_dir": "out", "cache_path": "cache.jsonl"}
+    if name == "remote":
+        doc["providers"]["chat"].update(kind="remote-chat",
+                                        endpoint="http://127.0.0.1:8000/v1/chat/completions")
+        doc["providers"]["embed"].update(kind="remote-embed",
+                                         endpoint="http://127.0.0.1:8000/v1/embeddings")
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUN_IDS))
+def test_config_run_id_is_pinned(name):
+    config = PipelineConfig.from_dict(_pinned_doc(name))
+    assert pipeline._digest_params(config.identity())[:16] == PINNED_RUN_IDS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STAGE_DIGESTS))
+def test_config_stage_input_digests_are_pinned(tmp_path, name):
+    doc = _pinned_doc(name)
+    corpus_path = tmp_path / "mini.jsonl"
+    corpus_path.write_bytes(fixture_bytes("mini_corpus.jsonl"))
+    doc["corpus"]["paths"] = [str(corpus_path)]
+    doc["output_dir"], doc["cache_path"] = str(tmp_path / "out"), str(tmp_path / "cache.jsonl")
+    manifest = run_pipeline(PipelineConfig.from_dict(doc))
+    run_id, digests = PINNED_STAGE_DIGESTS[name]
+    assert manifest["run_id"] == run_id
+    assert {s["name"]: s["input_digest"] for s in manifest["stages"]} == digests
+
+
 def test_pipeline_ingests_nvd_feed_format(tmp_path):
     feed = {"vulnerabilities": [
         {"cve": {"id": f"CVE-2022-{6000+i}",

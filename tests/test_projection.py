@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import cveminer
-from conftest import blob_matrix, random_matrix
+from matrices import blob_matrix, random_matrix
 from cveminer import projection
 from cveminer.errors import DegenerateInput, PerplexityTooLarge, RangeError
 from cveminer.projection import (ENTROPY_TOL, MAX_BISECTIONS, ProjectionResult,

@@ -157,15 +157,13 @@ def test_review_export_schema():
     doc = json.loads(review_export(
         failures=[("CVE-2021-0001", "unparseable label: 'maybe'"),
                   ("CVE-2021-0002", "provider error")],
-        blocked_labels=[(3, "Intel flaw", "intel")],
-        low_margin_items=[("CVE-2021-0003", "borderline", "1")]))
-    assert len(doc) == 4
+        blocked_labels=[(3, "Intel flaw", "intel")]))
+    assert len(doc) == 3
     assert doc[0] == {"id": "CVE-2021-0001", "stage": "classify",
                       "reason": "unparseable label: 'maybe'",
                       "raw": "unparseable label: 'maybe'"}
     assert doc[2] == {"id": "cluster-3", "stage": "summarize",
                       "reason": "blocked term", "raw": "Intel flaw"}
-    assert doc[3]["stage"] == "review"
     assert all(set(entry) == {"id", "stage", "reason", "raw"} for entry in doc)
 
 

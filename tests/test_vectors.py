@@ -1,6 +1,5 @@
 import base64
 import json
-import math
 import struct
 
 import numpy as np
@@ -11,9 +10,8 @@ from cveminer.corpus import make_record
 from cveminer.errors import DimensionError, ZeroVectorError
 from cveminer.gateway import ProviderConfig, ResponseCache
 from cveminer.vectors import (EmbedAborted, EmbeddingMatrix, EmbeddingVector,
-                              cosine, decode_f64, dump_matrix, embed_corpus,
-                              encode_f64, l2_normalize, load_matrix,
-                              normalize_matrix)
+                              decode_f64, dump_matrix, embed_corpus, encode_f64,
+                              load_matrix, normalize_matrix)
 
 NO_SLEEP = lambda s: None  # noqa: E731
 
@@ -31,72 +29,6 @@ def test_vector_invariants():
     v = vec(1.0, 2.0)
     with pytest.raises(ValueError):
         v.values[0] = 5.0  # frozen storage
-
-
-def test_l2_normalize_analytic():
-    out = l2_normalize(vec(3.0, 4.0))
-    assert out.values.tolist() == [0.6, 0.8]
-    unit = vec(1.0, 0.0)
-    assert l2_normalize(unit).values.tolist() == [1.0, 0.0]
-    assert abs(math.sqrt(sum(x * x for x in out.values)) - 1.0) < 1e-12
-
-
-def test_l2_normalize_zero_vector():
-    with pytest.raises(ZeroVectorError):
-        l2_normalize(vec(0.0, 0.0))
-
-
-def test_cosine_analytic_cases():
-    assert cosine(vec(1, 0), vec(1, 0)) == 1.0
-    assert cosine(vec(1, 0), vec(0, 1)) == 0.0
-    assert abs(cosine(vec(1, 1), vec(1, 0)) - 0.7071067811865475) < 1e-12
-
-
-def test_cosine_errors():
-    with pytest.raises(DimensionError):
-        cosine(vec(1, 0), vec(1, 0, 0))
-    with pytest.raises(ZeroVectorError):
-        cosine(vec(0, 0), vec(1, 0))
-
-
-def test_cosine_symmetric_exactly():
-    rng = np.random.default_rng(5)
-    for dim in (3, 64, 1500):
-        a = EmbeddingVector(rng.normal(size=dim), dim, "m")
-        b = EmbeddingVector(rng.normal(size=dim), dim, "m")
-        assert cosine(a, b) == cosine(b, a)
-
-
-def test_cosine_scale_invariance():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        dim = int(rng.integers(2, 40))
-        a = EmbeddingVector(rng.normal(size=dim), dim, "m")
-        for s in (1e-6, 0.5, 3.0, 1e6):
-            scaled = EmbeddingVector(a.values * s, dim, "m")
-            assert abs(cosine(a, scaled) - 1.0) < 1e-9
-
-
-def test_cosine_clamped():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = EmbeddingVector(rng.normal(size=8), 8, "m")
-        b = EmbeddingVector(rng.normal(size=8), 8, "m")
-        assert -1.0 <= cosine(a, b) <= 1.0
-
-
-def test_unit_sphere_orderings_agree():
-    # after normalization, euclidean distance and cosine give the same order
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        dim = int(rng.integers(2, 32))
-        u, v, w = (l2_normalize(EmbeddingVector(rng.normal(size=dim), dim, "m"))
-                   for _ in range(3))
-        d_v = np.linalg.norm(u.values - v.values)
-        d_w = np.linalg.norm(u.values - w.values)
-        if abs(d_v - d_w) < 1e-12:
-            continue
-        assert (d_v < d_w) == (cosine(u, v) > cosine(u, w))
 
 
 def test_matrix_invariants():
