@@ -49,7 +49,6 @@ class Prediction:
     label: int
     raw_output: str
     model_id: str
-    cached: bool = False
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,7 @@ def classify_corpus(config: gateway.ProviderConfig, template: PromptTemplate,
         except UnparseableLabel:
             failures.append((record.id, f"unparseable label: {result.text!r}"))
             continue
-        predictions.append(Prediction(record.id, label, result.text,
-                                      result.model_id, result.cached))
+        predictions.append(Prediction(record.id, label, result.text, result.model_id))
     return predictions, failures
 
 

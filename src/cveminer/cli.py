@@ -6,7 +6,7 @@ including that phase; stages whose cached outputs are still fresh are
 skipped, so re-running a late phase does not redo earlier work.
 
 Every config value can be overridden with a flag of the same dotted name,
-e.g. ``--providers.chat.model_id llama-3.3-70b`` or ``--clustering.k=5``.
+e.g. ``--seed 11`` or ``--clustering.k=5``.
 
 Exit codes: 0 success, 2 validation/config/data failure, 3 provider failure.
 """
@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="pipeline config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--cache", default=None, help="override the response cache path")
         p.add_argument("--template", default=None, help="alternate classification prompt file")
@@ -95,14 +94,10 @@ def main(argv=None) -> int:
     try:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         _consume_overrides(doc, extras)
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.out is not None:
-            doc["output_dir"] = args.out
-        if args.cache is not None:
-            doc["cache_path"] = args.cache
-        if args.template is not None:
-            doc.setdefault("classifier", {})["template_path"] = args.template
+        for flag, dotted in (("out", "output_dir"), ("cache", "cache_path"),
+                             ("template", "classifier.template_path")):
+            if getattr(args, flag) is not None:
+                _apply_dotted(doc, dotted, getattr(args, flag))
         if getattr(args, "dry_run", False):
             doc["dry_run"] = True
         config = PipelineConfig.from_dict(doc)

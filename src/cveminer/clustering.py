@@ -25,11 +25,13 @@ assignment, so the objectives that pick between restarts (and with them the
 labels) do not depend on the expanded-form rounding.  A best-of fit runs that
 recompute only for the restarts whose norm-derived objective lies within
 rounding reach of the smallest, which always include the winner.
+
+Nothing here serializes: ``pipeline`` owns the formats of the artifacts
+written from a fit.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -352,32 +354,3 @@ def representatives(matrix: EmbeddingMatrix, model: ClusterModel, m: int,
             ranked = sorted(zip(member_idx, dists), key=lambda t: (t[1], ids[t[0]]))
         out[j] = [str(ids[i]) for i, _ in ranked[:m]]
     return out
-
-
-# --- artifact serialization -------------------------------------------------
-
-def dump_assignments(ids: list[str], assignments: np.ndarray) -> bytes:
-    lines = [json.dumps({"id": cve_id, "cluster": int(c)})
-             for cve_id, c in zip(ids, assignments)]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def load_assignments(data: bytes) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for line in data.decode("utf-8").splitlines():
-        if line.strip():
-            obj = json.loads(line)
-            out[obj["id"]] = int(obj["cluster"])
-    return out
-
-
-def dump_model(model: ClusterModel) -> bytes:
-    doc = {
-        "k": model.k,
-        "seed": model.seed,
-        "wcss": model.wcss,
-        "iterations": model.iterations,
-        "converged": model.converged,
-        "centroids": [[float(x) for x in row] for row in model.centroids],
-    }
-    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")

@@ -7,6 +7,10 @@ endpoint (input text in, float array out).  Both go through one POST path,
 token comes from the ``LLM_API_KEY`` environment variable; endpoint and
 model always come from the config.
 
+``complete`` and ``embed`` share one answer path, ``_answer`` (cache lookup,
+retried and timed provider call, cache put); each supplies only its provider
+call and the type it returns.
+
 ``run_batch`` dispatches each distinct input once (inputs that are equal
 after NFC normalization, as ``cache_key`` sees them, count as one), from at
 most ``max_parallel`` workers (the calling thread is one) that pull the next
@@ -117,8 +121,11 @@ class CompletionResult:
     text: str
     model_id: str
     latency: float
-    attempts: int
-    cached: bool = False
+    attempts: int  # 0 when the cache answered
+
+    @property
+    def cached(self) -> bool:
+        return self.attempts == 0
 
 
 @dataclass
@@ -355,25 +362,36 @@ def _post(config: ProviderConfig, payload: dict) -> dict:
         raise ProviderError(resp.status_code, f"non-json response: {resp.text[:200]}")
 
 
-# --- retry loop and public operations ---------------------------------------
+# --- the answer path and public operations -----------------------------------
 
-def _with_retries(config: ProviderConfig, call, backoff_base: float, sleep):
-    """Run `call` with up to retry_limit retries on transient failures.
+def _answer(config: ProviderConfig, kind: str, text: str, cache: ResponseCache | None,
+            call, backoff_base: float, sleep):
+    """A cache hit, else `call` with up to retry_limit retries on transient
+    failures, whose answer is then put in the cache.
 
     Backoff is exponential with full jitter: uniform(0, base * 2^attempt).
-    Returns (value, attempts).
+    Returns (value, attempts, latency); a hit makes no call: 0 attempts.
     """
-    attempts = 0
-    while True:
-        attempts += 1
+    key = cache_key(kind, config.model_id, text)
+    if cache is not None:
+        hit = cache.get(key)
+        if hit is not None:
+            return hit, 0, 0.0
+    start = time.perf_counter()
+    for attempts in range(1, config.retry_limit + 2):  # the last attempt returns or raises
         try:
-            return call(), attempts
+            value = call()
+            break
         except _Transient as exc:
             if attempts > config.retry_limit:
                 if exc.status is None and exc.body == "timeout":
                     raise TimeoutError(f"{config.model_id}: timed out after {attempts} attempts")
                 raise ProviderError(exc.status, exc.body)
             sleep(_jitter.uniform(0.0, backoff_base * (2 ** (attempts - 1))))
+    latency = time.perf_counter() - start
+    if cache is not None:
+        cache.put(key, kind, config.model_id, value)
+    return value, attempts, latency
 
 
 def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = None,
@@ -381,11 +399,6 @@ def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = 
     """One chat completion; cache hits short-circuit the provider entirely."""
     if not config.is_chat:
         raise ValueError(f"complete() needs a chat provider, got {config.kind}")
-    key = cache_key("chat", config.model_id, prompt)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return CompletionResult(str(hit), config.model_id, 0.0, attempts=0, cached=True)
 
     def call() -> str:
         if config.is_mock:
@@ -399,12 +412,8 @@ def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = 
         except (KeyError, IndexError, TypeError):
             raise ProviderError(200, f"malformed chat response: {json.dumps(data)[:200]}")
 
-    start = time.perf_counter()
-    text, attempts = _with_retries(config, call, backoff_base, sleep)
-    latency = time.perf_counter() - start
-    if cache is not None:
-        cache.put(key, "chat", config.model_id, text)
-    return CompletionResult(text, config.model_id, latency, attempts=attempts)
+    text, attempts, latency = _answer(config, "chat", prompt, cache, call, backoff_base, sleep)
+    return CompletionResult(str(text), config.model_id, latency, attempts)
 
 
 def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
@@ -414,28 +423,22 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
         raise ValueError(f"embed() needs an embed provider, got {config.kind}")
     if not text:
         raise ValueError("cannot embed empty text")
-    key = cache_key("embed", config.model_id, text)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:  # an array, or a decimal list from an older cache line
-            values = np.asarray(hit, dtype=np.float64)
-            return EmbeddingVector(values, len(values), config.model_id)
 
     def call() -> np.ndarray:
         if config.is_mock:
             _mock_maybe_fail(config.model_id, text)
-            return mock_embed_vector(config.model_id, text)
+            values = mock_embed_vector(config.model_id, text)
+            if len(values) != mock_embed_dim(config.model_id):
+                raise DimensionError(f"mock returned {len(values)} values, declared {mock_embed_dim(config.model_id)}")
+            return values
         data = _post(config, {"model": config.model_id, "input": text})
         try:
             return np.array([float(x) for x in data["data"][0]["embedding"]], dtype=np.float64)
         except (KeyError, IndexError, TypeError, ValueError):
             raise ProviderError(200, f"malformed embedding response: {json.dumps(data)[:200]}")
 
-    values, _ = _with_retries(config, call, backoff_base, sleep)
-    if config.is_mock and len(values) != mock_embed_dim(config.model_id):
-        raise DimensionError(f"mock returned {len(values)} values, declared {mock_embed_dim(config.model_id)}")
-    if cache is not None:
-        cache.put(key, "embed", config.model_id, values)
+    values = np.asarray(  # an array, or a decimal list from an older cache line
+        _answer(config, "embed", text, cache, call, backoff_base, sleep)[0], dtype=np.float64)
     return EmbeddingVector(values, len(values), config.model_id)  # makes `values` read-only
 
 

@@ -15,7 +15,9 @@ their files stay on disk.
 
 Each consumed artifact is parsed at most once per run, and not at all when
 its producer computed in the same run: the value is handed forward, which is
-exact because every artifact format round-trips bit for bit.
+exact because every artifact format round-trips bit for bit.  The format of
+an artifact that only this module writes and reads (``assignments.jsonl``,
+``cluster_model.json``, ``elbow.json``, ``coords.jsonl``, ...) lives here.
 
 Every artifact and the manifest are written to a temporary file beside the
 target and then renamed over it, so a run killed mid-write leaves the
@@ -25,9 +27,10 @@ a crash of the machine.
 
 An output directory is guarded by an exclusive ``flock`` on its ``.lock``
 file; two runs may not share one.  The kernel releases the lock when its
-holder dies, so a killed run does not block the next.  A dry run takes the
-lock too, and its manifest keeps the previous run's stage records next to
-the ``planned`` calls, since that run's files stay on disk.
+holder dies, so a killed run does not block the next.  A dry run and
+``run_validate`` take the lock too; a dry run's manifest keeps the previous
+run's stage records next to the ``planned`` calls, since that run's files
+stay on disk.
 The response cache lives at its own configured path (outside the artifact
 tree), so re-runs never re-bill completed provider calls.  It is opened only
 when a stage computes, so a fully cached re-run never loads it, and closed
@@ -43,7 +46,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -108,8 +111,11 @@ class PipelineConfig:
             node = doc
             for section in sections:
                 node = node.get(section, {})
-            if key in node:
-                kwargs[name] = node[key] if coerce is None else coerce(node[key])
+            try:
+                if key in node:
+                    kwargs[name] = node[key] if coerce is None else coerce(node[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {dotted!r}: {exc}") from None
         return cls(**kwargs)
 
     def identity(self) -> dict:
@@ -132,7 +138,7 @@ _DOC_KEYS = {
     "chat_provider": ("providers.chat", lambda v: gateway.ProviderConfig(**v)),
     "embed_provider": ("providers.embed", lambda v: gateway.ProviderConfig(**v)),
     "template_path": ("classifier.template_path", None),
-    "k": ("clustering.k", None),
+    "k": ("clustering.k", lambda v: None if v is None else int(v)),
     "elbow_range": ("clustering.elbow_range", lambda v: (int(v[0]), int(v[1]))),
     "restarts": ("clustering.restarts", int),
     "max_iter": ("clustering.max_iter", int),
@@ -220,6 +226,10 @@ def _write(path: Path, data: bytes) -> None:
 
 def _json_bytes(doc) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _json_line(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _jsonl_bytes(docs: list[dict]) -> bytes:
@@ -358,7 +368,7 @@ _PARSERS = {
     "hardware.jsonl": lambda run, data: corpus.parse_records(data)[0],
     "classify_failures.jsonl": lambda run, data: [(d["id"], d["reason"]) for d in _parse_jsonl(data)],
     "embeddings.jsonl": lambda run, data: vectors.load_matrix(data),
-    "assignments.jsonl": lambda run, data: clustering.load_assignments(data),
+    "assignments.jsonl": lambda run, data: {d["id"]: d["cluster"] for d in _parse_jsonl(data)},
     "cluster_model.json": _parse_model,
     "ngram_profiles.json": lambda run, data: topics.load_profiles(data),
     "topic_summaries.json": lambda run, data: json.loads(data),
@@ -410,14 +420,16 @@ def _cluster(run: _Run) -> dict:
         curve = clustering.elbow_select(matrix, k_min, min(k_max, len(matrix) - 1), config.seed,
                                         config.restarts, config.max_iter, config.tol)
         chosen_k = curve.chosen_k
-        run.write("elbow.json", (json.dumps(asdict(curve), sort_keys=True) + "\n").encode("utf-8"))
+        run.write("elbow.json", _json_line(asdict(curve)))
     # elbow_select has already fitted chosen_k with these seeds; the refit
     # stays while perfbench's clustering.final_fit_s metric measures it
     model = clustering.fit_best_of(matrix, chosen_k, config.seed,
                                    config.restarts, config.max_iter, config.tol)
-    run.write("cluster_model.json", clustering.dump_model(model), model)
-    run.write("assignments.jsonl", clustering.dump_assignments(matrix.ids, model.assignments),
-              {i: int(c) for i, c in zip(matrix.ids, model.assignments)})
+    run.write("cluster_model.json", _json_line(
+        {"k": model.k, "seed": model.seed, "wcss": model.wcss, "iterations": model.iterations,
+         "converged": model.converged, "centroids": model.centroids.tolist()}), model)
+    lines = [{"id": i, "cluster": int(c)} for i, c in zip(matrix.ids, model.assignments)]
+    run.write("assignments.jsonl", _jsonl_bytes(lines), {d["id"]: d["cluster"] for d in lines})
     return {"k": model.k, "wcss": model.wcss, "iterations": model.iterations,
             "converged": model.converged}
 
@@ -471,7 +483,9 @@ def _project(run: _Run) -> dict:
                                    learning_rate=config.learning_rate)
     result = projection.tsne(matrix, params, seed=config.seed)
     assignments = run.get("assignments.jsonl")
-    run.write("coords.jsonl", projection.dump_coords(result, assignments), (result, assignments))
+    run.write("coords.jsonl", _jsonl_bytes(
+        [{"id": i, "x": float(x), "y": float(y), "cluster": assignments[i]}
+         for i, (x, y) in zip(result.ids, result.coords)]), (result, assignments))
     return {"points": n, "perplexity": eff, "final_kl": result.final_kl}
 
 
@@ -627,41 +641,37 @@ def run_validate(config: PipelineConfig, fixture_paths: list[str]) -> classifier
     Emits the per-model summary table, its CSV mirror, and the predictions.
     """
     outdir = Path(config.output_dir)
-    records: list[corpus.CveRecord] = []
-    for path in config.corpus_paths:
-        recs, _ = corpus.parse_records(Path(path).read_bytes(), config.corpus_format)
-        records.extend(recs)
-    by_id = {r.id: r for r in records}
+    with _Lock(outdir):
+        by_id = {r.id: r for r in _ingest_records(replace(config, years=None))[0]}
 
-    labeled: list[corpus.LabeledCve] = []
-    missing: list[str] = []
-    for path in fixture_paths:
-        fixture = corpus.load_fixture(Path(path).read_bytes())
-        if fixture.expected_label is None:
-            raise ValueError(f"fixture {fixture.name!r} carries no label; cannot validate")
-        for cve_id in fixture.ids:
-            record = by_id.get(cve_id)
-            if record is None:
-                missing.append(cve_id)
-            else:
-                labeled.append(corpus.LabeledCve(record=record, label=fixture.expected_label))
-    if missing:
-        raise MissingDescriptions(missing)
+        labeled: list[corpus.LabeledCve] = []
+        missing: list[str] = []
+        for path in fixture_paths:
+            fixture = corpus.load_fixture(Path(path).read_bytes())
+            if fixture.expected_label is None:
+                raise ValueError(f"fixture {fixture.name!r} carries no label; cannot validate")
+            for cve_id in fixture.ids:
+                record = by_id.get(cve_id)
+                if record is None:
+                    missing.append(cve_id)
+                else:
+                    labeled.append(corpus.LabeledCve(record=record, label=fixture.expected_label))
+        if missing:
+            raise MissingDescriptions(missing)
 
-    cache = gateway.ResponseCache(config.cache_path)
-    template = classifier.load_template("hwsw", config.template_path)
-    try:
-        predictions, failures = classifier.classify_corpus(
-            config.chat_provider, template, [lc.record for lc in labeled], cache=cache)
-    finally:
-        cache.close()
-    if failures:
-        raise CveMinerError(f"{len(failures)} records failed classification: {failures[:3]}")
-    report = classifier.evaluate(predictions, labeled)
+        cache = gateway.ResponseCache(config.cache_path)
+        template = classifier.load_template("hwsw", config.template_path)
+        try:
+            predictions, failures = classifier.classify_corpus(
+                config.chat_provider, template, [lc.record for lc in labeled], cache=cache)
+        finally:
+            cache.close()
+        if failures:
+            raise CveMinerError(f"{len(failures)} records failed classification: {failures[:3]}")
+        report = classifier.evaluate(predictions, labeled)
 
-    md, csv = reporting.validation_summary(report, [(config.chat_provider.model_id, report)])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write(outdir / "validation_summary.md", md.encode("utf-8"))
-    _write(outdir / "validation_summary.csv", csv.encode("utf-8"))
-    _write(outdir / "validation_predictions.jsonl", classifier.dump_predictions(predictions))
-    return report
+        md, csv = reporting.validation_summary(report, [(config.chat_provider.model_id, report)])
+        _write(outdir / "validation_summary.md", md.encode("utf-8"))
+        _write(outdir / "validation_summary.csv", csv.encode("utf-8"))
+        _write(outdir / "validation_predictions.jsonl", classifier.dump_predictions(predictions))
+        return report

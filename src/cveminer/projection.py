@@ -21,11 +21,12 @@ Everything runs on numpy kernels, with no per-row Python loop:
   KL divergence of the trace.  A step's gradient is within about 1e-5 of
   its float64 value, relative to its norm, except near convergence, where
   the gradient itself nears zero.
+
+Nothing here serializes: ``pipeline`` owns the format of ``coords.jsonl``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,14 +258,3 @@ def trustworthiness(matrix: EmbeddingMatrix, result: ProjectionResult, k: int) -
     # a low-dim neighbor that is also a high-dim k-neighbor has rank <= k
     penalty = int(np.maximum(np.take_along_axis(rank_high, order_low, axis=1) - k, 0).sum())
     return 1.0 - (2.0 / (n * k * (2.0 * n - 3.0 * k - 1.0))) * penalty
-
-
-def dump_coords(result: ProjectionResult, clusters: dict[str, int] | None = None) -> bytes:
-    """One line per point: id, x, y, and the joined cluster index if known."""
-    lines = []
-    for cve_id, (x, y) in zip(result.ids, result.coords):
-        doc = {"id": cve_id, "x": float(x), "y": float(y)}
-        if clusters is not None:
-            doc["cluster"] = int(clusters[cve_id])
-        lines.append(json.dumps(doc))
-    return ("\n".join(lines) + "\n").encode("utf-8")

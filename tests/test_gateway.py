@@ -191,19 +191,40 @@ def test_mock_chat_uninterpretable_prompt_fails():
         complete(bad, "just some text", sleep=NO_SLEEP)
 
 
-def test_complete_warm_cache_short_circuits(tmp_path, chat_config, monkeypatch):
+def test_complete_warm_cache_short_circuits(tmp_path, chat_config, embed_config, monkeypatch):
+    # both operations: a cache hit makes no attempt and no provider call
     cache = ResponseCache(tmp_path / "c.jsonl")
     first = complete(chat_config, "DESC: dram row hammer", cache=cache, sleep=NO_SLEEP)
     assert first.text == "1" and first.cached is False and first.attempts == 1
+    vector = embed(embed_config, "dram row hammer", cache=cache, sleep=NO_SLEEP)
 
-    calls = []
-    monkeypatch.setattr(gateway, "mock_chat_reply",
-                        lambda *a, **k: calls.append(1) or "1")
+    calls = []  # every attempt of a mock provider passes _mock_maybe_fail first
+    for name in ("_mock_maybe_fail", "mock_chat_reply", "mock_embed_vector"):
+        monkeypatch.setattr(gateway, name, lambda *a, name=name, **k: calls.append(name))
     second = complete(chat_config, "DESC: dram row hammer", cache=cache, sleep=NO_SLEEP)
     assert second.text == first.text
     assert second.cached is True and second.attempts == 0
-    assert calls == []  # zero provider invocations
+    again = embed(embed_config, "dram row hammer", cache=cache, sleep=NO_SLEEP)
+    assert again.values.tobytes() == vector.values.tobytes()
+    assert calls == []  # zero attempts, zero provider invocations
     cache.close()
+
+
+@pytest.mark.parametrize("op", ["complete", "embed"])
+def test_failure_after_retries_raises_and_leaves_cache_unchanged(tmp_path, op, chat_config,
+                                                                 embed_config):
+    fn, config = (complete, chat_config) if op == "complete" else (embed, embed_config)
+    path = tmp_path / "c.jsonl"
+    cache = ResponseCache(path)
+    fn(config, "DESC: spi flash", cache=cache, sleep=NO_SLEEP)
+    before = path.read_bytes()
+    slept = []
+    with pytest.raises(ProviderError):
+        fn(config, "DESC: spi flash mock::fail", cache=cache, sleep=slept.append)
+    cache.close()
+    assert len(slept) == config.retry_limit  # every retry was spent
+    assert path.read_bytes() == before
+    assert len(ResponseCache(path)) == 1
 
 
 def test_cache_cold_equals_warm_bytes(tmp_path, chat_config, embed_config):

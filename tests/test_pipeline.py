@@ -523,6 +523,20 @@ def test_validate_perfect_subset(tmp_path):
     assert report.accuracy == 1.0 and report.n == 100
 
 
+def test_validate_respects_the_output_dir_lock(tmp_path):
+    corpus_path, hw, sw = _bench_paths(tmp_path)
+    doc = write_config(tmp_path)
+    doc["corpus"]["paths"] = [str(corpus_path)]
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    with open(outdir / ".lock", "w") as holder:  # a live run's lock
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        with pytest.raises(OutputDirLocked):
+            run_validate(PipelineConfig.from_dict(doc), [str(hw), str(sw)])
+    assert [p.name for p in outdir.iterdir()] == [".lock"]
+    assert not Path(doc["cache_path"]).exists()  # nothing was billed
+
+
 def test_validate_missing_descriptions(tmp_path):
     corpus_path, hw, _ = _bench_paths(tmp_path)
     fixture = {"name": "missing", "label": 1,
@@ -636,6 +650,19 @@ def test_cli_validate(tmp_path, capsys):
 def test_cli_exit_code_config_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli_main(["pipeline", "--config", str(missing)]) == 2
+    # a value of the wrong type names its key, before any stage runs
+    misspelled = {"kind": "mock-chat", "model_id": "mock-hwsw", "max_paralel": 4}
+    for overrides, extras, key in [
+            ({"providers.chat": misspelled}, [], "providers.chat"),
+            ({"clustering.elbow_range": 5}, [], "clustering.elbow_range"),
+            ({}, ["--providers.chat=5"], "providers.chat"),
+            ({"clustering.k": "three"}, [], "clustering.k")]:
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(_config_file(tmp_path, **overrides)),
+                         *extras]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    assert PipelineConfig.from_dict(write_config(tmp_path, **{"clustering.k": "3"})).k == 3
 
 
 def test_cli_exit_code_data_error(tmp_path):
