@@ -133,7 +133,7 @@ def classify_corpus(config: gateway.ProviderConfig, template: PromptTemplate,
         except UnparseableLabel:
             failures.append((record.id, f"unparseable label: {result.text!r}"))
             continue
-        predictions.append(Prediction(record.id, label, result.text, result.model_id))
+        predictions.append(Prediction(record.id, label, result.text, config.model_id))
     return predictions, failures
 
 

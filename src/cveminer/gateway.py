@@ -20,11 +20,13 @@ line is built with ``json.encoder.encode_basestring``, the function
 ``json.dumps(..., ensure_ascii=False)`` itself calls for every string, so its
 bytes equal ``json.dumps`` of the same object.  A chat answer is stored as
 its text (``"value"``); an embedding as the base64 text of its little-endian
-float64 bytes (``"f64"``, see ``vectors.encode_f64``), which loads back as a
-read-only float64 array.
+float64 bytes (``"f64"``, ``encode_f64``, which ``vectors`` reuses for its
+artifact), which loads back as a read-only float64 array.
 Lines written before that, holding the vector as a decimal ``"value"``
-list, still load and still count as answered.  ``embed`` keeps the vector
-as an array from the provider through the cache to its ``EmbeddingVector``.
+list, still load and still count as answered.  A remote reply is checked
+once, in its provider call: chat content that is not a string, or an
+embedding that is not a non-empty, 1-D, all-finite vector, raises
+``ProviderError`` at once, so it is neither retried nor cached.
 
 ``requests`` is imported by the remote calls only, so mock runs never load
 it.
@@ -41,14 +43,14 @@ functions of (model_id, input text):
   hardware keyword get that keyword's fixed class direction mixed in before
   normalization, so clusters of same-keyword texts are well separated.
 
-Mock model-id grammar: a ``flaky<N>`` token makes the first N attempts per
-distinct input fail with a retryable error; a ``fail`` token makes every
-attempt fail; a trailing integer token sets the embedding dimension
+Mock model-id grammar: a ``fail`` token makes every attempt fail with a
+retryable error; a trailing integer token sets the embedding dimension
 (default 64).
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import json
@@ -65,8 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ProviderError
-from .vectors import EmbeddingVector, decode_f64, encode_f64
+from .errors import ProviderError
 
 CHAT_KINDS = ("remote-chat", "mock-chat")
 EMBED_KINDS = ("remote-embed", "mock-embed")
@@ -119,7 +120,6 @@ class ProviderConfig:
 @dataclass
 class CompletionResult:
     text: str
-    model_id: str
     latency: float
     attempts: int  # 0 when the cache answered
 
@@ -141,6 +141,16 @@ class BatchItem:
 def _key_prefix(kind: str, model_id: str):
     # shared by every caller: copy it, never update it
     return hashlib.sha256(f"{kind}\x00{model_id}\x00".encode("utf-8"))
+
+
+def encode_f64(values: np.ndarray) -> str:
+    """Base64 text of a vector's little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_f64(text: str) -> np.ndarray:
+    """The read-only float64 vector that `encode_f64` wrote."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
 
 
 def cache_key(kind: str, model_id: str, text: str) -> str:
@@ -241,14 +251,14 @@ class _Transient(Exception):
 _flaky_lock = threading.Lock()
 _flaky_counts: dict[tuple[str, str], int] = {}
 
-# Failure injection for tests: a "fail"/"flaky<N>" token in the model id
-# applies to every input; the markers below apply to a single input text.
+# Failure injection for tests: a "fail" token in the model id applies to
+# every input; the markers below apply to a single input text.
 TEXT_FAIL_MARKER = "mock::fail"
 _TEXT_FLAKY = re.compile(r"mock::flaky(\d+)")
 
 
 def reset_flaky_state() -> None:
-    """Forget per-input failure counters of flaky mock models (test helper)."""
+    """Forget per-input failure counters of flaky mock inputs (test helper)."""
     with _flaky_lock:
         _flaky_counts.clear()
 
@@ -258,29 +268,18 @@ def _mock_tokens(model_id: str) -> list[str]:
 
 
 @functools.cache
-def _mock_failure_plan(model_id: str) -> tuple[bool, int]:
-    """(every attempt fails, flaky budget) from the model id's tokens."""
-    tokens = _mock_tokens(model_id)
-    flaky = next((t for t in tokens if t.startswith("flaky") and t[5:].isdigit()), None)
-    return "fail" in tokens, int(flaky[5:]) if flaky else 0
-
-
-def mock_embed_dim(model_id: str) -> int:
-    tokens = _mock_tokens(model_id)
-    if tokens and tokens[-1].isdigit():
-        return int(tokens[-1])
-    return MOCK_EMBED_DIM
+def _mock_always_fails(model_id: str) -> bool:
+    """Whether the model id has a ``fail`` token."""
+    return "fail" in _mock_tokens(model_id)
 
 
 def _mock_maybe_fail(model_id: str, text: str) -> None:
-    always_fail, budget = _mock_failure_plan(model_id)
     marked = "mock::" in text
-    if always_fail or (marked and TEXT_FAIL_MARKER in text):
+    if _mock_always_fails(model_id) or (marked and TEXT_FAIL_MARKER in text):
         raise _Transient(503, "mock provider configured to fail")
     marker = _TEXT_FLAKY.search(text) if marked else None
     if marker:
-        budget = max(budget, int(marker.group(1)))
-    if budget > 0:
+        budget = int(marker.group(1))
         key = (model_id, text)
         with _flaky_lock:
             seen = _flaky_counts.get(key, 0)
@@ -319,7 +318,8 @@ def _philox(material: str) -> np.random.Generator:
 
 
 def mock_embed_vector(model_id: str, text: str, keywords=DEFAULT_HW_KEYWORDS) -> np.ndarray:
-    dim = mock_embed_dim(model_id)
+    last = _mock_tokens(model_id)[-1]
+    dim = int(last) if last.isdigit() else MOCK_EMBED_DIM
     vec = _philox(model_id + "\x00" + text).standard_normal(dim)
     cls = keyword_class(text, keywords)
     if cls is not None:
@@ -408,17 +408,20 @@ def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = 
                               "messages": [{"role": "user", "content": prompt}],
                               "temperature": config.temperature})
         try:
-            return str(data["choices"][0]["message"]["content"])
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
             raise ProviderError(200, f"malformed chat response: {json.dumps(data)[:200]}")
+        return content
 
     text, attempts, latency = _answer(config, "chat", prompt, cache, call, backoff_base, sleep)
-    return CompletionResult(str(text), config.model_id, latency, attempts)
+    return CompletionResult(text, latency, attempts)
 
 
 def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
-          backoff_base: float = BACKOFF_BASE_S, sleep=time.sleep) -> EmbeddingVector:
-    """Embed one text; the vector's dimension is recorded alongside it."""
+          backoff_base: float = BACKOFF_BASE_S, sleep=time.sleep) -> np.ndarray:
+    """Embed one text: a read-only float64 vector, shared with the cache."""
     if config.is_chat:
         raise ValueError(f"embed() needs an embed provider, got {config.kind}")
     if not text:
@@ -427,19 +430,21 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
     def call() -> np.ndarray:
         if config.is_mock:
             _mock_maybe_fail(config.model_id, text)
-            values = mock_embed_vector(config.model_id, text)
-            if len(values) != mock_embed_dim(config.model_id):
-                raise DimensionError(f"mock returned {len(values)} values, declared {mock_embed_dim(config.model_id)}")
-            return values
+            return mock_embed_vector(config.model_id, text)
         data = _post(config, {"model": config.model_id, "input": text})
         try:
-            return np.array([float(x) for x in data["data"][0]["embedding"]], dtype=np.float64)
-        except (KeyError, IndexError, TypeError, ValueError):
+            values = np.array(data["data"][0]["embedding"])
+        except (KeyError, IndexError, TypeError, ValueError):  # absent, or ragged
+            values = None
+        if (values is None or values.dtype.kind not in "iuf" or values.ndim != 1
+                or not values.size or not np.isfinite(values).all()):
             raise ProviderError(200, f"malformed embedding response: {json.dumps(data)[:200]}")
+        return values.astype(np.float64, copy=False)
 
     values = np.asarray(  # an array, or a decimal list from an older cache line
         _answer(config, "embed", text, cache, call, backoff_base, sleep)[0], dtype=np.float64)
-    return EmbeddingVector(values, len(values), config.model_id)  # makes `values` read-only
+    values.flags.writeable = False
+    return values
 
 
 def run_batch(config: ProviderConfig, inputs: list[str], op: str,

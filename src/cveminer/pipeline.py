@@ -104,14 +104,16 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         """Build from a config document; an absent key keeps the field's default."""
-        kwargs = {"corpus_paths": list(doc.get("corpus", {}).get("paths", [])),
-                  "output_dir": doc["output_dir"], "cache_path": doc["cache_path"]}
+        kwargs = {"corpus_paths": [], "output_dir": doc["output_dir"],
+                  "cache_path": doc["cache_path"]}
         for name, (dotted, coerce) in _DOC_KEYS.items():
             *sections, key = dotted.split(".")
             node = doc
-            for section in sections:
-                node = node.get(section, {})
             try:
+                for section in sections:
+                    node = node.get(section, {})
+                    if not isinstance(node, dict):
+                        raise TypeError(f"{section!r} is not an object")
                 if key in node:
                     kwargs[name] = node[key] if coerce is None else coerce(node[key])
             except (TypeError, ValueError) as exc:
@@ -129,31 +131,46 @@ class PipelineConfig:
         return doc
 
 
+def _expect(ok, what: str):
+    """A coercion that passes a value `ok` accepts and rejects any other."""
+    def coerce(v):
+        if not ok(v):
+            raise TypeError(f"expected {what}, got {v!r}")
+        return v
+    return coerce
+
+
+_bool = _expect(lambda v: isinstance(v, bool), "true or false")
+_pair = _expect(lambda v: isinstance(v, list) and len(v) == 2, "a two-element list")
+
+
 # field -> (its dotted key in a config document, the coercion of a present
 # value, None for none); a key the document leaves out keeps the field's default
 _DOC_KEYS = {
+    "corpus_paths": ("corpus.paths", _expect(
+        lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v), "a list of strings")),
     "corpus_format": ("corpus.format", None),
-    "years": ("corpus.years", lambda v: tuple(v) if v else None),
+    "years": ("corpus.years", lambda v: None if v is None else tuple(map(int, _pair(v)))),
     "seed": ("seed", int),
     "chat_provider": ("providers.chat", lambda v: gateway.ProviderConfig(**v)),
     "embed_provider": ("providers.embed", lambda v: gateway.ProviderConfig(**v)),
     "template_path": ("classifier.template_path", None),
     "k": ("clustering.k", lambda v: None if v is None else int(v)),
-    "elbow_range": ("clustering.elbow_range", lambda v: (int(v[0]), int(v[1]))),
+    "elbow_range": ("clustering.elbow_range", lambda v: tuple(map(int, _pair(v)))),
     "restarts": ("clustering.restarts", int),
     "max_iter": ("clustering.max_iter", int),
     "tol": ("clustering.tol", float),
-    "normalize": ("clustering.normalize", bool),
+    "normalize": ("clustering.normalize", _bool),
     "metric": ("clustering.metric", None),
     "r": ("topics.r", int),
-    "per_document": ("topics.per_document", bool),
+    "per_document": ("topics.per_document", _bool),
     "stopwords_path": ("topics.stopwords_path", None),
     "blocklist_path": ("topics.blocklist_path", None),
     "perplexity": ("projection.perplexity", float),
     "tsne_iterations": ("projection.iterations", int),
     "learning_rate": ("projection.learning_rate", float),
     "m": ("report.m", int),
-    "dry_run": ("dry_run", bool),
+    "dry_run": ("dry_run", _bool),
 }
 
 

@@ -156,7 +156,7 @@ def summarize_cluster(config: gateway.ProviderConfig, template: PromptTemplate,
             raise BlockedTermInLabel(label, tok)
     return TopicSummary(cluster=profile.cluster, label=label,
                         keywords_used=tuple(profile.keywords),
-                        model_id=result.model_id)
+                        model_id=config.model_id)
 
 
 # --- artifact serialization -------------------------------------------------

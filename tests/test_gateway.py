@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -205,7 +207,7 @@ def test_complete_warm_cache_short_circuits(tmp_path, chat_config, embed_config,
     assert second.text == first.text
     assert second.cached is True and second.attempts == 0
     again = embed(embed_config, "dram row hammer", cache=cache, sleep=NO_SLEEP)
-    assert again.values.tobytes() == vector.values.tobytes()
+    assert again.tobytes() == vector.tobytes()
     assert calls == []  # zero attempts, zero provider invocations
     cache.close()
 
@@ -236,29 +238,29 @@ def test_cache_cold_equals_warm_bytes(tmp_path, chat_config, embed_config):
 
     vec_cold = embed(embed_config, "some text", cache=cache, sleep=NO_SLEEP)
     vec_warm = embed(embed_config, "some text", cache=cache, sleep=NO_SLEEP)
-    assert vec_cold.values.tobytes() == vec_warm.values.tobytes()
+    assert vec_cold.tobytes() == vec_warm.tobytes()
     cache.close()
 
 
 def test_mock_embed_dimension_and_norm(embed_config):
     vec = embed(embed_config, "any text at all", sleep=NO_SLEEP)
-    assert vec.dim == 64
-    assert abs(np.linalg.norm(vec.values) - 1.0) < 1e-12
+    assert len(vec) == 64
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
     vec128 = embed(ProviderConfig(kind="mock-embed", model_id="mock-embed-128"),
                    "any text at all", sleep=NO_SLEEP)
-    assert vec128.dim == 128
+    assert len(vec128) == 128
 
 
 def test_mock_embed_deterministic(embed_config):
     a = embed(embed_config, "same text", sleep=NO_SLEEP)
     b = embed(embed_config, "same text", sleep=NO_SLEEP)
-    assert a.values.tobytes() == b.values.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_mock_embed_sensitive_to_one_char(embed_config):
     a = embed(embed_config, "same text", sleep=NO_SLEEP)
     b = embed(embed_config, "same texu", sleep=NO_SLEEP)
-    assert np.any(a.values != b.values)
+    assert np.any(a != b)
 
 
 def test_mock_embed_matches_independent_reconstruction():
@@ -586,8 +588,8 @@ def test_remote_embed_happy_path():
         config = ProviderConfig(kind="remote-embed", model_id="small-embedder",
                                 endpoint=url, timeout=5.0, retry_limit=0)
         vec = embed(config, "hello", sleep=NO_SLEEP)
-        assert vec.dim == 3
-        assert vec.values.tolist() == [0.1, 0.2, 0.3]
+        assert len(vec) == 3
+        assert vec.tolist() == [0.1, 0.2, 0.3]
         assert script.requests[0]["body"] == {"model": "small-embedder", "input": "hello"}
 
 
@@ -599,8 +601,7 @@ def test_remote_embed_records_provider_dimension():
         config = ProviderConfig(kind="remote-embed", model_id="text-embedding-3-large",
                                 endpoint=url, timeout=5.0, retry_limit=0)
         vec = embed(config, "hello", sleep=NO_SLEEP)
-        assert vec.dim == 3072
-        assert vec.model_id == "text-embedding-3-large"
+        assert len(vec) == 3072
 
 
 def test_remote_malformed_response():
@@ -610,3 +611,44 @@ def test_remote_malformed_response():
                                 timeout=5.0, retry_limit=0)
         with pytest.raises(ProviderError):
             complete(config, "p", sleep=NO_SLEEP)
+
+
+@pytest.mark.parametrize("op, reply", [
+    ("complete", _chat_payload(None)),
+    ("complete", _chat_payload(1)),
+    ("embed", {"data": [{"embedding": [0.1, float("nan")]}]}),
+    ("embed", {"data": [{"embedding": []}]}),
+    ("embed", {"data": [{"embedding": [0.1, "0.2"]}]}),
+], ids=["chat-null", "chat-int", "embed-nan", "embed-empty", "embed-string-item"])
+def test_remote_malformed_reply_is_never_cached(tmp_path, op, reply):
+    good = _chat_payload("1") if op == "complete" else {"data": [{"embedding": [0.1, 0.2]}]}
+    script = _Script([(200, reply, 0), (200, good, 0)])
+    path = tmp_path / "c.jsonl"
+    cache = ResponseCache(path)
+    cache.put("seed", "chat", "m", "0")
+    before = path.read_bytes()
+    with _serve(script) as url:
+        fn = complete if op == "complete" else embed
+        config = ProviderConfig(kind=f"remote-{'chat' if op == 'complete' else 'embed'}",
+                                model_id="m", endpoint=url, timeout=5.0, retry_limit=2)
+        with pytest.raises(ProviderError) as err:
+            fn(config, "DESC: firmware", cache=cache, backoff_base=0.0, sleep=NO_SLEEP)
+        assert err.value.status == 200 and "malformed" in err.value.body
+        assert len(script.requests) == 1  # checked once, not retried
+        assert path.read_bytes() == before
+        again = fn(config, "DESC: firmware", cache=cache, backoff_base=0.0, sleep=NO_SLEEP)
+        assert len(script.requests) == 2  # the next call asks the provider again
+    cache.close()
+    if op == "complete":
+        assert again.text == "1" and again.attempts == 1
+    else:
+        assert again.tolist() == [0.1, 0.2] and not again.flags.writeable
+
+
+def test_importing_gateway_loads_no_other_layer():
+    code = ("import sys, cveminer.gateway; "
+            "print(sorted({'cveminer.vectors', 'cveminer.corpus'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gateway.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

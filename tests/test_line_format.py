@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from cveminer import classifier, corpus
-from cveminer.gateway import ResponseCache
-from cveminer.vectors import encode_f64
+from cveminer.gateway import ResponseCache, encode_f64
 
 _RAW_LINE_BREAKS = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
 

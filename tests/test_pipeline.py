@@ -9,7 +9,7 @@ import pytest
 import requests
 
 import cveminer
-from cveminer import gateway, pipeline, vectors
+from cveminer import gateway, pipeline
 from cveminer.assets import fixture_bytes
 from cveminer.cli import main as cli_main
 from cveminer.errors import (EmptyHardwareSet, MissingDescriptions,
@@ -207,7 +207,7 @@ def _as_decimal_lines(data: bytes, old_field: str) -> bytes:
     out = []
     for line in data.decode("utf-8").splitlines():
         doc = json.loads(line)
-        doc = {(old_field if k == "f64" else k): (vectors.decode_f64(v).tolist() if k == "f64" else v)
+        doc = {(old_field if k == "f64" else k): (gateway.decode_f64(v).tolist() if k == "f64" else v)
                for k, v in doc.items()}
         out.append(json.dumps(doc, ensure_ascii=False))
     return ("\n".join(out) + "\n").encode("utf-8")
@@ -656,7 +656,15 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
             ({"providers.chat": misspelled}, [], "providers.chat"),
             ({"clustering.elbow_range": 5}, [], "clustering.elbow_range"),
             ({}, ["--providers.chat=5"], "providers.chat"),
-            ({"clustering.k": "three"}, [], "clustering.k")]:
+            ({"clustering.k": "three"}, [], "clustering.k"),
+            # values are read as written: no truthy strings, no strings split into chars
+            ({"clustering.normalize": "false"}, [], "clustering.normalize"),
+            ({"topics.per_document": "no"}, [], "topics.per_document"),
+            ({"dry_run": "false"}, [], "dry_run"),
+            ({"corpus.paths": "corpus.jsonl"}, [], "corpus.paths"),
+            ({"corpus.years": "2021"}, [], "corpus.years"),
+            ({"clustering.elbow_range": "25"}, [], "clustering.elbow_range"),
+            ({"corpus": 5}, [], "corpus.paths")]:
         capsys.readouterr()
         assert cli_main(["pipeline", "--config", str(_config_file(tmp_path, **overrides)),
                          *extras]) == 2

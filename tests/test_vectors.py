@@ -8,27 +8,19 @@ import pytest
 from cveminer import gateway, vectors
 from cveminer.corpus import make_record
 from cveminer.errors import DimensionError, ZeroVectorError
-from cveminer.gateway import ProviderConfig, ResponseCache
-from cveminer.vectors import (EmbedAborted, EmbeddingMatrix, EmbeddingVector,
-                              decode_f64, dump_matrix, embed_corpus, encode_f64,
+from cveminer.gateway import ProviderConfig, ResponseCache, decode_f64, encode_f64
+from cveminer.vectors import (EmbedAborted, EmbeddingMatrix, dump_matrix, embed_corpus,
                               load_matrix, normalize_matrix)
 
 NO_SLEEP = lambda s: None  # noqa: E731
 
 
-def vec(*values, model="m"):
-    arr = np.array(values, dtype=np.float64)
-    return EmbeddingVector(arr, len(arr), model)
-
-
-def test_vector_invariants():
-    with pytest.raises(DimensionError):
-        EmbeddingVector(np.array([1.0, 2.0]), 3, "m")
+def test_vector_invariants(embed_config):
     with pytest.raises(ValueError):
-        EmbeddingVector(np.array([1.0, np.inf]), 2, "m")
-    v = vec(1.0, 2.0)
+        EmbeddingMatrix(ids=["a"], rows=np.array([[1.0, np.inf]]), dim=2, model_id="m")
+    v = gateway.embed(embed_config, "some text", sleep=NO_SLEEP)
     with pytest.raises(ValueError):
-        v.values[0] = 5.0  # frozen storage
+        v[0] = 5.0  # frozen storage
 
 
 def test_matrix_invariants():
@@ -119,7 +111,7 @@ def test_embed_corpus_abort_then_cache_resume(tmp_path, monkeypatch):
     with pytest.raises(EmbedAborted) as err:
         embed_corpus(config, records, cache=cache)
     assert err.value.completed == 4
-    assert [f.id for f in err.value.failures] == [records[2].id]
+    assert [cve_id for cve_id, _ in err.value.failures] == [records[2].id]
 
     calls = []
     real = gateway.mock_embed_vector
@@ -147,3 +139,18 @@ def test_embed_corpus_dim_consistency(monkeypatch):
     monkeypatch.setattr(gateway, "mock_embed_vector", ragged)
     with pytest.raises(DimensionError):
         embed_corpus(config, _records(4))
+
+
+def test_embed_corpus_rejects_non_finite_cache_line(tmp_path):
+    # a vector with a NaN, cached as earlier versions could write it
+    config = ProviderConfig(kind="mock-embed", model_id="mock-embed-2", max_parallel=1)
+    records = _records(2)
+    path = tmp_path / "c.jsonl"
+    line = {"key": gateway.cache_key("embed", config.model_id, records[1].description),
+            "kind": "embed", "model": config.model_id,
+            "f64": encode_f64(np.array([0.5, np.nan])), "created_at": "2024-01-01T00:00:00+00:00"}
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    cache = ResponseCache(path)
+    with pytest.raises(ValueError, match="non-finite"):
+        embed_corpus(config, records, cache=cache)
+    cache.close()
