@@ -93,6 +93,8 @@ def main(argv=None) -> int:
     args, extras = parser.parse_known_args(argv)
     try:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"the config must be a JSON object, not {type(doc).__name__}")
         _consume_overrides(doc, extras)
         for flag, dotted in (("out", "output_dir"), ("cache", "cache_path"),
                              ("template", "classifier.template_path")):

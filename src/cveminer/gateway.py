@@ -28,8 +28,16 @@ once, in its provider call: chat content that is not a string, or an
 embedding that is not a non-empty, 1-D, all-finite vector, raises
 ``ProviderError`` at once, so it is neither retried nor cached.
 
-``requests`` is imported by the remote calls only, so mock runs never load
-it.
+The remote calls speak HTTP/1.1 through the standard library's
+``http.client``, imported by them only, so mock runs never load it.  Each
+``run_batch`` worker keeps one connection per endpoint (scheme, host, port)
+open for the whole batch, and the batch closes them all when it returns; a
+single ``complete``/``embed`` call outside a batch opens one connection and
+closes it after the reply.  A reused connection that the server dropped
+while idle is reopened once, and that reopen is not counted as an attempt.
+``https`` uses the default SSL context (the system CA store) and, unless
+``NO_PROXY`` exempts the host, a CONNECT tunnel through ``HTTPS_PROXY``;
+plain ``http`` endpoints are always reached directly.
 
 Mock providers make the whole pipeline runnable offline and are pure
 functions of (model_id, input text):
@@ -64,6 +72,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
+from urllib.parse import unquote, urlsplit
 
 import numpy as np
 
@@ -333,33 +342,98 @@ def mock_embed_vector(model_id: str, text: str, keywords=DEFAULT_HW_KEYWORDS) ->
 
 # --- remote providers -------------------------------------------------------
 
-def _post(config: ProviderConfig, payload: dict) -> dict:
+@functools.cache
+def _tls_context():
+    import ssl
+
+    return ssl.create_default_context()  # shared: one load of the system CA store
+
+
+def _connect(url, timeout: float):
+    """A new, not yet connected ``http.client`` connection to ``url``'s host.
+
+    An ``https`` endpoint is reached through the ``HTTPS_PROXY`` proxy, with a
+    CONNECT tunnel, unless ``NO_PROXY`` exempts its host; a plain ``http``
+    endpoint is always reached directly.
+    """
+    import http.client
+
+    if url.scheme == "http":
+        return http.client.HTTPConnection(url.hostname, url.port, timeout=timeout)
+    if url.scheme != "https":
+        raise ProviderError(None, f"unsupported endpoint scheme {url.scheme!r}")
+    import urllib.request
+
+    proxy = urllib.request.getproxies().get("https")
+    if not proxy or urllib.request.proxy_bypass(url.hostname):
+        return http.client.HTTPSConnection(url.hostname, url.port, timeout=timeout,
+                                           context=_tls_context())
+    via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    conn = http.client.HTTPSConnection(via.hostname, via.port or 80, timeout=timeout,
+                                       context=_tls_context())
+    auth = {}
+    if via.username is not None:
+        secret = f"{unquote(via.username)}:{unquote(via.password or '')}".encode("utf-8")
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(secret).decode("ascii")
+    conn.set_tunnel(url.hostname, url.port, headers=auth)
+    return conn
+
+
+def _post(config: ProviderConfig, payload: dict, conns: dict | None = None) -> dict:
     """POST `payload` as JSON to the provider's endpoint; return the JSON reply.
 
-    A timeout, a failed connection or a retryable status raises `_Transient`;
-    any other status but 200, or a reply that is not JSON, raises ProviderError.
+    `conns` holds the caller's open connections by (scheme, host, port) and
+    keeps the one used for the next call; without it, the call opens its own
+    connection and closes it before returning.  A reused connection that
+    fails before any reply byte arrives (the server dropped it while idle) is
+    reopened once, within the same attempt.  A timeout, a failed connection
+    or a retryable status raises `_Transient`; any other status but 200, or a
+    reply that is not JSON, raises ProviderError.
     """
-    import requests
+    import http.client
 
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get("LLM_API_KEY")
     if token:
         headers["Authorization"] = f"Bearer {token}"
+    url = urlsplit(config.endpoint)
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    key = (url.scheme, url.hostname, url.port)
+    pool = {} if conns is None else conns
     try:
-        resp = requests.post(config.endpoint, json=payload, headers=headers,
-                             timeout=config.timeout)
-    except requests.Timeout:
-        raise _Transient(None, "timeout")
-    except requests.RequestException as exc:
-        raise _Transient(None, f"connection failure: {exc}")
-    if resp.status_code in RETRYABLE_STATUS:
-        raise _Transient(resp.status_code, resp.text)
-    if resp.status_code != 200:
-        raise ProviderError(resp.status_code, resp.text)
+        while True:
+            conn = pool.get(key)
+            if conn is None:
+                conn = pool[key] = _connect(url, config.timeout)
+            reused, resp = conn.sock is not None, None
+            try:
+                conn.request("POST", target, body, headers)
+                resp = conn.getresponse()
+                # a reply with Connection: close, or HTTP/1.0 without
+                # keep-alive, has closed the connection once it is read
+                status, data = resp.status, resp.read()
+                break
+            except TimeoutError:
+                conn.close()
+                raise _Transient(None, "timeout")
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if reused and resp is None and isinstance(exc, ConnectionError):
+                    continue  # dropped while idle: reopen once (a new one is not reused)
+                raise _Transient(None, f"connection failure: {exc}")
+    finally:
+        if conns is None:
+            for conn in pool.values():
+                conn.close()
+    if status in RETRYABLE_STATUS:
+        raise _Transient(status, data.decode("utf-8", "replace"))
+    if status != 200:
+        raise ProviderError(status, data.decode("utf-8", "replace"))
     try:
-        return resp.json()
+        return json.loads(data)
     except ValueError:
-        raise ProviderError(resp.status_code, f"non-json response: {resp.text[:200]}")
+        raise ProviderError(status, f"non-json response: {data.decode('utf-8', 'replace')[:200]}")
 
 
 # --- the answer path and public operations -----------------------------------
@@ -395,8 +469,12 @@ def _answer(config: ProviderConfig, kind: str, text: str, cache: ResponseCache |
 
 
 def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = None,
-             backoff_base: float = BACKOFF_BASE_S, sleep=time.sleep) -> CompletionResult:
-    """One chat completion; cache hits short-circuit the provider entirely."""
+             backoff_base: float = BACKOFF_BASE_S, sleep=time.sleep,
+             _conns: dict | None = None) -> CompletionResult:
+    """One chat completion; cache hits short-circuit the provider entirely.
+
+    ``_conns`` is the calling batch worker's connection pool (see `_post`).
+    """
     if not config.is_chat:
         raise ValueError(f"complete() needs a chat provider, got {config.kind}")
 
@@ -406,7 +484,7 @@ def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = 
             return mock_chat_reply(config.model_id, prompt)
         data = _post(config, {"model": config.model_id,
                               "messages": [{"role": "user", "content": prompt}],
-                              "temperature": config.temperature})
+                              "temperature": config.temperature}, _conns)
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
@@ -420,8 +498,12 @@ def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = 
 
 
 def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
-          backoff_base: float = BACKOFF_BASE_S, sleep=time.sleep) -> np.ndarray:
-    """Embed one text: a read-only float64 vector, shared with the cache."""
+          backoff_base: float = BACKOFF_BASE_S, sleep=time.sleep,
+          _conns: dict | None = None) -> np.ndarray:
+    """Embed one text: a read-only float64 vector, shared with the cache.
+
+    ``_conns`` is the calling batch worker's connection pool (see `_post`).
+    """
     if config.is_chat:
         raise ValueError(f"embed() needs an embed provider, got {config.kind}")
     if not text:
@@ -431,7 +513,7 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
         if config.is_mock:
             _mock_maybe_fail(config.model_id, text)
             return mock_embed_vector(config.model_id, text)
-        data = _post(config, {"model": config.model_id, "input": text})
+        data = _post(config, {"model": config.model_id, "input": text}, _conns)
         try:
             values = np.array(data["data"][0]["embedding"])
         except (KeyError, IndexError, TypeError, ValueError):  # absent, or ragged
@@ -460,7 +542,9 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
     so count as one.  ``min(max_parallel, distinct inputs)`` workers, the
     calling thread among them, pull the next index from a shared iterator,
     so at most config.max_parallel requests are in flight at once and
-    ``max_parallel=1`` runs on the calling thread alone.
+    ``max_parallel=1`` runs on the calling thread alone.  Each worker keeps
+    its remote connections open from one item to the next; all of them are
+    closed before run_batch returns.
     """
     if not inputs:
         raise ValueError("run_batch needs at least one input")
@@ -473,8 +557,11 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
     items: list[BatchItem | None] = [None] * len(inputs)
     pending = iter(first.values())
     pending_lock = threading.Lock()
+    pools: list[dict] = []  # one connection pool per worker
 
     def work() -> None:
+        conns: dict = {}
+        pools.append(conns)
         while True:
             with pending_lock:
                 i = next(pending, None)
@@ -482,7 +569,8 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
                 return
             try:
                 items[i] = BatchItem(i, value=fn(config, inputs[i], cache=cache,
-                                                 backoff_base=backoff_base, sleep=sleep))
+                                                 backoff_base=backoff_base, sleep=sleep,
+                                                 _conns=conns))
             except Exception as exc:  # per-item isolation
                 items[i] = BatchItem(i, error=exc)
 
@@ -498,6 +586,9 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
                 pass
         for thread in helpers:
             thread.join()
+        for conns in pools:
+            for conn in conns.values():
+                conn.close()
     for i, text in enumerate(inputs):
         if items[i] is None:
             dispatched = items[first[unicodedata.normalize("NFC", text)]]

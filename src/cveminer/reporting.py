@@ -7,12 +7,18 @@ output on re-runs.  Text outputs are UTF-8 with \\n newlines.
 from __future__ import annotations
 
 import json
-from xml.sax.saxutils import escape
 
 from .classifier import ValidationReport
 from .errors import ClusterMismatch, EmptyProfile
 from .projection import ProjectionResult
 from .topics import NgramProfile, TopicSummary
+
+
+def _escape(text: str) -> str:
+    """XML text escaping of ``&``, ``<`` and ``>``: ``xml.sax.saxutils.escape``
+    without the modules it imports (urllib, http.client, ssl, email)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -100,7 +106,7 @@ def scatter_svg(projection: ProjectionResult, clusters: dict[str, int],
         # svg y grows downward; mirror within the viewBox so the plot reads like a chart
         cy = 2 * min_y + height - float(y)
         parts.append(f'<circle cx="{_fmt(float(x))}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
-                     f'fill="{color}"><title>{escape(cve_id)}</title></circle>')
+                     f'fill="{color}"><title>{_escape(cve_id)}</title></circle>')
     for row, cluster in enumerate(cluster_ids):
         color = palette[cluster % len(palette)]
         label = legend.get(cluster, f"cluster {cluster}") if legend else f"cluster {cluster}"
@@ -108,7 +114,7 @@ def scatter_svg(projection: ProjectionResult, clusters: dict[str, int],
         parts.append(f'<rect x="{_fmt(min_x + font * 0.2)}" y="{_fmt(y_pos - font * 0.7)}" '
                      f'width="{_fmt(font * 0.8)}" height="{_fmt(font * 0.8)}" fill="{color}"/>')
         parts.append(f'<text x="{_fmt(min_x + font * 1.2)}" y="{_fmt(y_pos)}" '
-                     f'font-size="{_fmt(font)}">{escape(f"T{cluster}: {label}")}</text>')
+                     f'font-size="{_fmt(font)}">{_escape(f"T{cluster}: {label}")}</text>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
@@ -128,7 +134,7 @@ def wordcloud_grid_svg(profile: NgramProfile, palette: tuple[str, ...] = PALETTE
         size = 10 + 18 * (entry.count / top)
         color = palette[row % len(palette)]
         parts.append(f'<text x="10" y="{row_height * (row + 1)}" font-size="{_fmt(size)}" '
-                     f'fill="{color}">{escape(entry.ngram)}</text>')
+                     f'fill="{color}">{_escape(entry.ngram)}</text>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 

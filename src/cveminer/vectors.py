@@ -131,5 +131,13 @@ def embed_corpus(config: gateway.ProviderConfig, records: list[CveRecord],
     for record, vec in zip(records, vectors):
         if len(vec) != dim:
             raise DimensionError(f"row {record.id} has dim {len(vec)}, expected {dim}")
-    return EmbeddingMatrix(ids=[r.id for r in records], rows=np.vstack(vectors), dim=dim,
+    rows = np.vstack(vectors)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        # a provider reply is checked before it is cached, so only an older cache line gets here
+        record = records[int(np.argmin(finite))]
+        key = gateway.cache_key("embed", config.model_id, record.description)
+        raise ValueError(f"record {record.id}: the embedding cached under key {key} "
+                         "holds non-finite values")
+    return EmbeddingMatrix(ids=[r.id for r in records], rows=rows, dim=dim,
                            model_id=config.model_id)

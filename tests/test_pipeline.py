@@ -1,4 +1,5 @@
 import fcntl
+import http.client
 import json
 import os
 import subprocess
@@ -6,7 +7,6 @@ import sys
 from pathlib import Path
 
 import pytest
-import requests
 
 import cveminer
 from cveminer import gateway, pipeline
@@ -285,7 +285,9 @@ def test_pipeline_write_killed_midway_keeps_previous_file(tmp_path, monkeypatch,
 
 
 def test_importing_the_cli_loads_neither_scipy_nor_requests():
-    code = "import sys, cveminer.cli; print(sorted({'scipy', 'requests'} & set(sys.modules)))"
+    # nor the HTTP stack, which only a remote provider call imports
+    heavy = {'scipy', 'requests', 'http.client', 'ssl', 'urllib.request'}
+    code = f"import sys, cveminer.cli; print(sorted({heavy!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(cveminer.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
@@ -320,7 +322,8 @@ def test_pipeline_dry_run_contacts_no_provider(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gateway, "mock_chat_reply", explode)
     monkeypatch.setattr(gateway, "mock_embed_vector", explode)
-    monkeypatch.setattr(requests, "post", explode)
+    # every remote call, http or https, connects through this method
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", explode)
 
     doc = write_config(tmp_path, dry_run=True)
     manifest = run_pipeline(PipelineConfig.from_dict(doc))
@@ -650,6 +653,13 @@ def test_cli_validate(tmp_path, capsys):
 def test_cli_exit_code_config_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli_main(["pipeline", "--config", str(missing)]) == 2
+    # a config whose top level is not an object, with and without an override
+    for doc, extras in [([], []), ("x", []), ([], ["--seed", "3"]), (None, [])]:
+        path = tmp_path / "not_an_object.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(path), *extras]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
     # a value of the wrong type names its key, before any stage runs
     misspelled = {"kind": "mock-chat", "model_id": "mock-hwsw", "max_paralel": 4}
     for overrides, extras, key in [

@@ -129,6 +129,18 @@ def test_wordcloud_grid_svg():
         wordcloud_grid_svg(NgramProfile(cluster=0, r=1, entries=[]))
 
 
+def test_svg_text_escaping_matches_saxutils():
+    from xml.sax.saxutils import escape
+
+    ngrams = ["a&b", "<script>", "x > y", "&amp;", "&lt;<>&gt;", "quote\"s 'n' \u2028", ""]
+    profile = NgramProfile(cluster=0, r=len(ngrams), entries=[
+        NgramEntry(g, 1, len(ngrams) - i) for i, g in enumerate(ngrams)])
+    svg = wordcloud_grid_svg(profile).decode("utf-8")
+    for g in ngrams[:-1]:
+        assert f">{escape(g)}</text>" in svg
+    ET.fromstring(svg)
+
+
 def test_validation_summary_sorted_desc():
     a = ValidationReport.from_counts(tp=90, tn=90, fp=10, fn=10)   # 0.9
     b = ValidationReport.from_counts(tp=80, tn=80, fp=20, fn=20)   # 0.8

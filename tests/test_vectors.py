@@ -151,6 +151,8 @@ def test_embed_corpus_rejects_non_finite_cache_line(tmp_path):
             "f64": encode_f64(np.array([0.5, np.nan])), "created_at": "2024-01-01T00:00:00+00:00"}
     path.write_text(json.dumps(line) + "\n", encoding="utf-8")
     cache = ResponseCache(path)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite") as err:
         embed_corpus(config, records, cache=cache)
     cache.close()
+    assert records[1].id in str(err.value) and line["key"] in str(err.value)
+    assert records[0].id not in str(err.value)
