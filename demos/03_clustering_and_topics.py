@@ -43,9 +43,9 @@ texts = [r.description for r in hardware]
 profiles = topics.cluster_keywords(texts, model.assignments, model.k, r=15)
 summarize = classifier.load_template("summarize")
 for profile in profiles:
-    summary = topics.summarize_cluster(chat, summarize, profile)
+    label = topics.summarize_cluster(chat, summarize, profile)
     keywords = ", ".join(profile.keywords[:6])
-    print(f"  T{profile.cluster}: [{keywords}, ...] -> {summary.label!r}")
+    print(f"  T{profile.cluster}: [{keywords}, ...] -> {label!r}")
 
 # Ten nearest member CVEs per centroid, by cosine similarity.
 reps = representatives(matrix, model, m=10, metric="cosine")

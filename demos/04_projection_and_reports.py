@@ -39,14 +39,13 @@ print(f"projected {len(result.ids)} points; final KL {result.final_kl:.4f}; "
 texts = [r.description for r in hardware]
 profiles = topics.cluster_keywords(texts, model.assignments, model.k, r=15)
 summarize = classifier.load_template("summarize")
-summaries = [topics.summarize_cluster(chat, summarize, p) for p in profiles]
+labels = {p.cluster: topics.summarize_cluster(chat, summarize, p) for p in profiles}
 
 clusters = dict(zip(matrix.ids, (int(a) for a in model.assignments)))
-legend = {s.cluster: s.label for s in summaries}
-(OUT / "scatter.svg").write_bytes(scatter_svg(result, clusters, legend))
+(OUT / "scatter.svg").write_bytes(scatter_svg(result.ids, result.coords, clusters, labels))
 print("wrote", OUT / "scatter.svg")
 
-(OUT / "topic_table.md").write_text(topic_table(profiles, summaries))
+(OUT / "topic_table.md").write_text(topic_table(profiles, labels))
 reps = representatives(matrix, model, m=10)
 (OUT / "representatives.md").write_text(representatives_table(reps))
 print("wrote", OUT / "topic_table.md", "and", OUT / "representatives.md")

@@ -17,7 +17,6 @@ that changed by one byte would bill every record again.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 
@@ -108,9 +107,8 @@ def parse_label(raw: str) -> int:
 
 
 def classify_corpus(config: gateway.ProviderConfig, template: PromptTemplate,
-                    records: list[CveRecord], cache=None,
-                    backoff_base: float = gateway.BACKOFF_BASE_S,
-                    sleep=time.sleep) -> tuple[list[Prediction], list[tuple[str, str]]]:
+                    records: list[CveRecord],
+                    cache=None) -> tuple[list[Prediction], list[tuple[str, str]]]:
     """Classify every record; failures are enumerated, never guessed.
 
     Returns (predictions, failures) with len(predictions) + len(failures)
@@ -119,8 +117,7 @@ def classify_corpus(config: gateway.ProviderConfig, template: PromptTemplate,
     if not records:
         raise ValueError("classify_corpus needs at least one record")
     prompts = [build_hwsw_prompt(template, r) for r in records]
-    items = gateway.run_batch(config, prompts, op="complete", cache=cache,
-                              backoff_base=backoff_base, sleep=sleep)
+    items = gateway.run_batch(config, prompts, op="complete", cache=cache)
     predictions: list[Prediction] = []
     failures: list[tuple[str, str]] = []
     for record, item in zip(records, items):

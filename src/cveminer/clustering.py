@@ -219,6 +219,8 @@ def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
     to `_make_exact`: `centroids` is None and `wcss` the norm-derived
     objective.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     init_centroids = np.asarray(init_centroids, dtype=np.float64)
     if init_centroids.ndim != 2 or init_centroids.shape[1] != matrix.dim:
         raise ValueError(f"init centroids shape {init_centroids.shape} does not match dim {matrix.dim}")

@@ -9,7 +9,10 @@ model always come from the config.
 
 ``complete`` and ``embed`` share one answer path, ``_answer`` (cache lookup,
 retried and timed provider call, cache put); each supplies only its provider
-call and the type it returns.
+call and the type it returns.  A transient failure (a timeout, a failed
+connection, a status in RETRYABLE_STATUS) is retried up to ``retry_limit``
+times, with exponential backoff and full jitter: before retry k the calling
+thread sleeps a uniform random time in [0, BACKOFF_BASE_S * 2^(k-1)].
 
 ``run_batch`` dispatches each distinct input once (inputs that are equal
 after NFC normalization, as ``cache_key`` sees them, count as one), from at
@@ -43,7 +46,7 @@ Mock providers make the whole pipeline runnable offline and are pure
 functions of (model_id, input text):
 
 * ``mock-chat`` finds the line starting with ``DESC:`` in the prompt and
-  answers "1" iff it contains any configured hardware keyword, else "0".
+  answers "1" iff it contains any of ``DEFAULT_HW_KEYWORDS``, else "0".
   A prompt whose last content is a ``Keywords:`` line is answered with
   ``topic: <first four keywords>``.
 * ``mock-embed`` draws the vector from a counter-based (Philox) stream
@@ -297,22 +300,22 @@ def _mock_maybe_fail(model_id: str, text: str) -> None:
             raise _Transient(503, f"flaky mock failure {seen + 1}/{budget}")
 
 
-def keyword_class(text: str, keywords=DEFAULT_HW_KEYWORDS) -> str | None:
-    """First configured hardware keyword contained in the text, if any."""
+def keyword_class(text: str) -> str | None:
+    """First of ``DEFAULT_HW_KEYWORDS`` contained in the text, if any."""
     lowered = text.lower()
-    for term in keywords:
+    for term in DEFAULT_HW_KEYWORDS:
         if term in lowered:
             return term
     return None
 
 
-def mock_chat_reply(model_id: str, prompt: str, keywords=DEFAULT_HW_KEYWORDS) -> str:
+def mock_chat_reply(model_id: str, prompt: str) -> str:
     # lines end at "\n" only: a description may hold U+2028 and the like, which
     # str.splitlines would break the DESC: line at
     start = ("\n" + prompt).find("\nDESC:")  # where the first DESC: line starts
     if start >= 0:
         line = prompt[start:].partition("\n")[0]
-        return "1" if keyword_class(line, keywords) else "0"
+        return "1" if keyword_class(line) else "0"
     for line in prompt.split("\n"):
         if line.startswith("Keywords:"):
             terms = [t.strip() for t in line[len("Keywords:"):].split(",") if t.strip()]
@@ -326,11 +329,11 @@ def _philox(material: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def mock_embed_vector(model_id: str, text: str, keywords=DEFAULT_HW_KEYWORDS) -> np.ndarray:
+def mock_embed_vector(model_id: str, text: str) -> np.ndarray:
     last = _mock_tokens(model_id)[-1]
     dim = int(last) if last.isdigit() else MOCK_EMBED_DIM
     vec = _philox(model_id + "\x00" + text).standard_normal(dim)
-    cls = keyword_class(text, keywords)
+    cls = keyword_class(text)
     if cls is not None:
         direction = _philox(model_id + "\x00class:" + cls).standard_normal(dim)
         direction /= np.linalg.norm(direction)
@@ -438,13 +441,13 @@ def _post(config: ProviderConfig, payload: dict, conns: dict | None = None) -> d
 
 # --- the answer path and public operations -----------------------------------
 
-def _answer(config: ProviderConfig, kind: str, text: str, cache: ResponseCache | None,
-            call, backoff_base: float, sleep):
+def _answer(config: ProviderConfig, kind: str, text: str, cache: ResponseCache | None, call):
     """A cache hit, else `call` with up to retry_limit retries on transient
     failures, whose answer is then put in the cache.
 
-    Backoff is exponential with full jitter: uniform(0, base * 2^attempt).
-    Returns (value, attempts, latency); a hit makes no call: 0 attempts.
+    Retry k first sleeps uniform(0, BACKOFF_BASE_S * 2^(k-1)), reading the
+    base when it runs.  Returns (value, attempts, latency); a hit makes no
+    call: 0 attempts.
     """
     key = cache_key(kind, config.model_id, text)
     if cache is not None:
@@ -461,7 +464,7 @@ def _answer(config: ProviderConfig, kind: str, text: str, cache: ResponseCache |
                 if exc.status is None and exc.body == "timeout":
                     raise TimeoutError(f"{config.model_id}: timed out after {attempts} attempts")
                 raise ProviderError(exc.status, exc.body)
-            sleep(_jitter.uniform(0.0, backoff_base * (2 ** (attempts - 1))))
+            time.sleep(_jitter.uniform(0.0, BACKOFF_BASE_S * (2 ** (attempts - 1))))
     latency = time.perf_counter() - start
     if cache is not None:
         cache.put(key, kind, config.model_id, value)
@@ -469,7 +472,6 @@ def _answer(config: ProviderConfig, kind: str, text: str, cache: ResponseCache |
 
 
 def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = None,
-             backoff_base: float = BACKOFF_BASE_S, sleep=time.sleep,
              _conns: dict | None = None) -> CompletionResult:
     """One chat completion; cache hits short-circuit the provider entirely.
 
@@ -493,12 +495,11 @@ def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = 
             raise ProviderError(200, f"malformed chat response: {json.dumps(data)[:200]}")
         return content
 
-    text, attempts, latency = _answer(config, "chat", prompt, cache, call, backoff_base, sleep)
+    text, attempts, latency = _answer(config, "chat", prompt, cache, call)
     return CompletionResult(text, latency, attempts)
 
 
 def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
-          backoff_base: float = BACKOFF_BASE_S, sleep=time.sleep,
           _conns: dict | None = None) -> np.ndarray:
     """Embed one text: a read-only float64 vector, shared with the cache.
 
@@ -524,14 +525,13 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
         return values.astype(np.float64, copy=False)
 
     values = np.asarray(  # an array, or a decimal list from an older cache line
-        _answer(config, "embed", text, cache, call, backoff_base, sleep)[0], dtype=np.float64)
+        _answer(config, "embed", text, cache, call)[0], dtype=np.float64)
     values.flags.writeable = False
     return values
 
 
 def run_batch(config: ProviderConfig, inputs: list[str], op: str,
-              cache: ResponseCache | None = None,
-              backoff_base: float = BACKOFF_BASE_S, sleep=time.sleep) -> list[BatchItem]:
+              cache: ResponseCache | None = None) -> list[BatchItem]:
     """Run an operation over many inputs with bounded parallelism.
 
     The result list is index-aligned with the inputs regardless of
@@ -568,9 +568,7 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
             if i is None:
                 return
             try:
-                items[i] = BatchItem(i, value=fn(config, inputs[i], cache=cache,
-                                                 backoff_base=backoff_base, sleep=sleep,
-                                                 _conns=conns))
+                items[i] = BatchItem(i, value=fn(config, inputs[i], cache=cache, _conns=conns))
             except Exception as exc:  # per-item isolation
                 items[i] = BatchItem(i, error=exc)
 

@@ -94,10 +94,13 @@ class PipelineConfig:
     dry_run: bool = False
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        for name in ("r", "m", "restarts", "max_iter", "tsne_iterations", "k"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"config key {_DOC_KEYS[name][0]!r}: must be >= 1, got {value}")
+        if not self.perplexity > 0:
+            raise ValueError(f"config key 'projection.perplexity': must be > 0, "
+                             f"got {self.perplexity}")
         if not self.corpus_paths:
             raise ValueError("at least one corpus path is required")
 
@@ -369,14 +372,12 @@ def _parse_model(run: _Run, data: bytes) -> clustering.ClusterModel:
 
 
 def _parse_coords(run: _Run, data: bytes):
-    """The projection and each point's cluster, or None when it was skipped."""
+    """(ids, coords, each point's cluster), or None when the projection was skipped."""
     points = _parse_jsonl(data)
     if not points:
         return None
-    result = projection.ProjectionResult(
-        ids=[p["id"] for p in points], coords=np.array([(p["x"], p["y"]) for p in points]),
-        seed=run.config.seed, params=projection.TsneParams(), final_kl=0.0)
-    return result, {p["id"]: p["cluster"] for p in points}
+    return ([p["id"] for p in points], np.array([(p["x"], p["y"]) for p in points]),
+            {p["id"]: p["cluster"] for p in points})
 
 
 # artifact -> parse(run, data): the one place each consumed artifact is read
@@ -461,20 +462,15 @@ def _topics(run: _Run) -> dict:
     template = classifier.load_template("summarize")
     summaries, blocked = [], []
     for profile in profiles:
-        if not profile.entries:
-            summaries.append({"cluster": profile.cluster, "label": None,
-                              "keywords": [], "model": None})
-            continue
-        try:
-            summary = topics.summarize_cluster(config.chat_provider, template, profile,
-                                               cache=run.cache, blocked=run.blocklist)
-            summaries.append({"cluster": summary.cluster, "label": summary.label,
-                              "keywords": list(summary.keywords_used),
-                              "model": summary.model_id})
-        except topics.BlockedTermInLabel as exc:
-            blocked.append({"cluster": profile.cluster, "label": exc.label, "term": exc.term})
-            summaries.append({"cluster": profile.cluster, "label": None,
-                              "keywords": profile.keywords, "model": None})
+        label = None
+        if profile.entries:
+            try:
+                label = topics.summarize_cluster(config.chat_provider, template, profile,
+                                                 cache=run.cache, blocked=run.blocklist)
+            except topics.BlockedTermInLabel as exc:
+                blocked.append({"cluster": profile.cluster, "label": exc.label, "term": exc.term})
+        summaries.append({"cluster": profile.cluster, "label": label, "keywords": profile.keywords,
+                          "model": None if label is None else config.chat_provider.model_id})
     run.write("ngram_profiles.json", topics.dump_profiles(profiles), profiles)
     run.write("topic_summaries.json", _json_bytes(summaries), summaries)
     run.write("blocked_labels.json", _json_bytes(blocked), blocked)
@@ -500,18 +496,17 @@ def _project(run: _Run) -> dict:
                                    learning_rate=config.learning_rate)
     result = projection.tsne(matrix, params, seed=config.seed)
     assignments = run.get("assignments.jsonl")
+    ids, coords = result.ids, result.coords
     run.write("coords.jsonl", _jsonl_bytes(
         [{"id": i, "x": float(x), "y": float(y), "cluster": assignments[i]}
-         for i, (x, y) in zip(result.ids, result.coords)]), (result, assignments))
+         for i, (x, y) in zip(ids, coords)]), (ids, coords, assignments))
     return {"points": n, "perplexity": eff, "final_kl": result.final_kl}
 
 
 def _report(run: _Run) -> dict:
-    summaries = [topics.TopicSummary(cluster=s["cluster"], label=s["label"] or "(needs review)",
-                                     keywords_used=tuple(s["keywords"]), model_id=s["model"] or "")
-                 for s in run.get("topic_summaries.json")]
+    labels = {s["cluster"]: s["label"] or "(needs review)" for s in run.get("topic_summaries.json")}
     profiles = run.get("ngram_profiles.json")
-    run.write("topic_table.md", reporting.topic_table(profiles, summaries).encode("utf-8"))
+    run.write("topic_table.md", reporting.topic_table(profiles, labels).encode("utf-8"))
     run.write("representatives.md",
               reporting.representatives_table(run.get("representatives.json")).encode("utf-8"))
     run.write("review_queue.json", reporting.review_export(
@@ -525,8 +520,7 @@ def _report(run: _Run) -> dict:
             run.write(f"wordcloud_{profile.cluster}.svg", reporting.wordcloud_grid_svg(profile))
     coords = run.get("coords.jsonl")
     if coords is not None:
-        legend = {s.cluster: s.label for s in summaries}
-        run.write("scatter.svg", reporting.scatter_svg(*coords, legend))
+        run.write("scatter.svg", reporting.scatter_svg(*coords, labels))
     return {"artifacts": len(run.outputs)}
 
 

@@ -7,6 +7,13 @@ gradient descent with an early exaggeration phase.  Gradients are computed
 exactly (O(n^2)), which is comfortable up to a few thousand points and
 keeps runs bit-reproducible for a fixed seed on one machine.
 
+The optimization schedule is fixed (van der Maaten & Hinton 2008): the
+input affinities are exaggerated x12 for the first 250 iterations, momentum
+switches from 0.5 to 0.8 after iteration 250, the initial coordinates are
+drawn with sigma 1e-4, and the KL divergence is recorded every 50
+iterations and at the last one.  Only perplexity, the number of iterations
+and the learning rate (``TsneParams``) are tunable.
+
 Everything runs on numpy kernels, with no per-row Python loop:
 
 * High-dimensional squared distances come from one GEMM
@@ -38,19 +45,20 @@ ENTROPY_TOL = 1e-5
 MAX_BISECTIONS = 50
 AFFINITY_FLOOR = 1e-12
 
+EARLY_EXAGGERATION = 12.0
+EXAGGERATION_ITERS = 250
+MOMENTUM_EARLY = 0.5
+MOMENTUM_LATE = 0.8
+MOMENTUM_SWITCH = 250
+INIT_SIGMA = 1e-4
+KL_INTERVAL = 50
+
 
 @dataclass(frozen=True)
 class TsneParams:
     perplexity: float = 30.0
     iterations: int = 1000
     learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
-    exaggeration_iters: int = 250
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch: int = 250
-    init_sigma: float = 1e-4
-    kl_interval: int = 50
 
 
 @dataclass
@@ -181,14 +189,17 @@ def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 
     """Project matrix rows to 2-D; deterministic for fixed inputs and seed.
 
     Early exaggeration multiplies the input affinities for the first
-    `exaggeration_iters` iterations; momentum switches from its early to
-    its late value at `momentum_switch`.  The KL divergence against the
-    un-exaggerated affinities is recorded every `kl_interval` iterations.
+    EXAGGERATION_ITERS iterations; momentum switches from MOMENTUM_EARLY to
+    MOMENTUM_LATE after MOMENTUM_SWITCH.  The KL divergence against the
+    un-exaggerated affinities is recorded every KL_INTERVAL iterations and
+    at the last one.
     """
     params = params or TsneParams()
     n = len(matrix)
     if n < 5:
         raise ValueError(f"need at least 5 rows, got {n}")
+    if params.iterations < 1:
+        raise ValueError("iterations must be >= 1")
     if params.perplexity <= 0:
         raise ValueError("perplexity must be positive")
     if params.perplexity >= (n - 1) / 3.0:
@@ -202,24 +213,22 @@ def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 
     pq = np.empty((n, n), dtype=np.float32)
 
     rng = np.random.default_rng(seed)
-    coords = rng.standard_normal((n, 2)) * params.init_sigma
+    coords = rng.standard_normal((n, 2)) * INIT_SIGMA
     velocity = np.zeros_like(coords)
     kl_trace: list[tuple[int, float]] = []
 
     for it in range(1, params.iterations + 1):
-        exaggeration = params.early_exaggeration if it <= params.exaggeration_iters else 1.0
+        exaggeration = EARLY_EXAGGERATION if it <= EXAGGERATION_ITERS else 1.0
         grad, z = _gradient(p32, coords, exaggeration, num, pq)
 
-        momentum = params.momentum_early if it <= params.momentum_switch else params.momentum_late
+        momentum = MOMENTUM_EARLY if it <= MOMENTUM_SWITCH else MOMENTUM_LATE
         velocity = momentum * velocity - params.learning_rate * grad
         coords = coords + velocity
         coords = coords - coords.mean(axis=0)
 
-        if it % params.kl_interval == 0 or it == params.iterations:
+        if it % KL_INTERVAL == 0 or it == params.iterations:
             q = np.maximum(num.astype(np.float64) / z, AFFINITY_FLOOR)
-            kl = float(np.sum(p_joint * np.log(p_joint / q)))
-            if not kl_trace or kl_trace[-1][0] != it:
-                kl_trace.append((it, kl))
+            kl_trace.append((it, float(np.sum(p_joint * np.log(p_joint / q)))))
 
     return ProjectionResult(ids=list(matrix.ids), coords=coords, params=params,
                             seed=seed, final_kl=kl_trace[-1][1], kl_trace=kl_trace)

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .classifier import ValidationReport
 from .errors import ClusterMismatch, EmptyProfile
-from .projection import ProjectionResult
-from .topics import NgramProfile, TopicSummary
+from .topics import NgramProfile
 
 
 def _escape(text: str) -> str:
@@ -26,17 +27,16 @@ PALETTE = (
 )
 
 
-def topic_table(profiles: list[NgramProfile], summaries: list[TopicSummary]) -> str:
+def topic_table(profiles: list[NgramProfile], labels: dict[int, str]) -> str:
     """Markdown table: one row per cluster with keywords and topic label."""
     by_profile = {p.cluster: p for p in profiles}
-    by_summary = {s.cluster: s for s in summaries}
-    if set(by_profile) != set(by_summary):
+    if set(by_profile) != set(labels):
         raise ClusterMismatch(
-            f"profiles cover {sorted(by_profile)}, summaries cover {sorted(by_summary)}")
+            f"profiles cover {sorted(by_profile)}, labels cover {sorted(labels)}")
     lines = ["| Topic | Top keywords | Summary |", "| --- | --- | --- |"]
     for cluster in sorted(by_profile):
         keywords = ", ".join(by_profile[cluster].keywords)
-        lines.append(f"| T{cluster} | {keywords} | {by_summary[cluster].label} |")
+        lines.append(f"| T{cluster} | {keywords} | {labels[cluster]} |")
     return "\n".join(lines) + "\n"
 
 
@@ -74,16 +74,15 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def scatter_svg(projection: ProjectionResult, clusters: dict[str, int],
-                legend: dict[int, str] | None = None,
-                palette: tuple[str, ...] = PALETTE) -> bytes:
-    """Cluster-colored scatter of the 2-D projection as standalone SVG.
+def scatter_svg(ids: list[str], coords: np.ndarray, clusters: dict[str, int],
+                legend: dict[int, str] | None = None) -> bytes:
+    """Cluster-colored scatter of 2-D points (row i of `coords` is `ids[i]`)
+    as standalone SVG.
 
     The viewBox is fitted to the data with a 5% margin; each point is one
     circle filled by its cluster's palette color; the legend maps cluster
     index to its topic label.
     """
-    coords = projection.coords
     if not len(coords):
         raise ValueError("empty projection")
     xs, ys = coords[:, 0], coords[:, 1]
@@ -101,14 +100,14 @@ def scatter_svg(projection: ProjectionResult, clusters: dict[str, int],
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(min_x)} {_fmt(min_y)} '
         f'{_fmt(width)} {_fmt(height)}">',
     ]
-    for cve_id, (x, y) in zip(projection.ids, coords):
-        color = palette[clusters[cve_id] % len(palette)]
+    for cve_id, (x, y) in zip(ids, coords):
+        color = PALETTE[clusters[cve_id] % len(PALETTE)]
         # svg y grows downward; mirror within the viewBox so the plot reads like a chart
         cy = 2 * min_y + height - float(y)
         parts.append(f'<circle cx="{_fmt(float(x))}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
                      f'fill="{color}"><title>{_escape(cve_id)}</title></circle>')
     for row, cluster in enumerate(cluster_ids):
-        color = palette[cluster % len(palette)]
+        color = PALETTE[cluster % len(PALETTE)]
         label = legend.get(cluster, f"cluster {cluster}") if legend else f"cluster {cluster}"
         y_pos = min_y + font * (row + 1.2)
         parts.append(f'<rect x="{_fmt(min_x + font * 0.2)}" y="{_fmt(y_pos - font * 0.7)}" '
@@ -119,7 +118,7 @@ def scatter_svg(projection: ProjectionResult, clusters: dict[str, int],
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
-def wordcloud_grid_svg(profile: NgramProfile, palette: tuple[str, ...] = PALETTE) -> bytes:
+def wordcloud_grid_svg(profile: NgramProfile) -> bytes:
     """Plain deterministic grid rendering of term weights (no layout art)."""
     if not profile.entries:
         raise EmptyProfile(f"cluster {profile.cluster} has no terms")
@@ -132,7 +131,7 @@ def wordcloud_grid_svg(profile: NgramProfile, palette: tuple[str, ...] = PALETTE
     ]
     for row, entry in enumerate(profile.entries):
         size = 10 + 18 * (entry.count / top)
-        color = palette[row % len(palette)]
+        color = PALETTE[row % len(PALETTE)]
         parts.append(f'<text x="10" y="{row_height * (row + 1)}" font-size="{_fmt(size)}" '
                      f'fill="{color}">{_escape(entry.ngram)}</text>')
     parts.append("</svg>")

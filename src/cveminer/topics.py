@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -45,14 +44,6 @@ class NgramProfile:
     @property
     def keywords(self) -> list[str]:
         return [e.ngram for e in self.entries]
-
-
-@dataclass(frozen=True)
-class TopicSummary:
-    cluster: int
-    label: str
-    keywords_used: tuple[str, ...]
-    model_id: str
 
 
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
@@ -134,9 +125,7 @@ def build_sum_prompt(template: PromptTemplate, profile: NgramProfile) -> str:
 
 def summarize_cluster(config: gateway.ProviderConfig, template: PromptTemplate,
                       profile: NgramProfile, cache=None,
-                      blocked: frozenset[str] | None = None,
-                      backoff_base: float = gateway.BACKOFF_BASE_S,
-                      sleep=time.sleep) -> TopicSummary:
+                      blocked: frozenset[str] | None = None) -> str:
     """Obtain a short topic label for one cluster's keyword profile.
 
     The label is the first non-empty output line, post-checked against the
@@ -146,17 +135,14 @@ def summarize_cluster(config: gateway.ProviderConfig, template: PromptTemplate,
     if blocked is None:
         blocked = default_blocklist()
     prompt = build_sum_prompt(template, profile)
-    result = gateway.complete(config, prompt, cache=cache,
-                              backoff_base=backoff_base, sleep=sleep)
+    result = gateway.complete(config, prompt, cache=cache)
     label = next((line.strip() for line in result.text.splitlines() if line.strip()), "")
     if not label:
         raise PromptError(f"empty label for cluster {profile.cluster}")
     for tok in _TOKEN_RE.findall(label.lower()):
         if tok in blocked:
             raise BlockedTermInLabel(label, tok)
-    return TopicSummary(cluster=profile.cluster, label=label,
-                        keywords_used=tuple(profile.keywords),
-                        model_id=config.model_id)
+    return label
 
 
 # --- artifact serialization -------------------------------------------------

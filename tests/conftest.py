@@ -11,6 +11,12 @@ def _fresh_flaky_state():
     gateway.reset_flaky_state()
 
 
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    # retries wait uniform(0, 0); a test that counts the waits patches time.sleep itself
+    monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
+
+
 @pytest.fixture
 def mini_records():
     records, rejects = corpus.parse_records(fixture_bytes("mini_corpus.jsonl"))

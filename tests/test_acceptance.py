@@ -19,7 +19,7 @@ from cveminer.classifier import ValidationReport
 from cveminer.clustering import (elbow_select, fit_best_of, kmeanspp_init,
                                  lloyd, representatives)
 from cveminer.pipeline import PipelineConfig, run_pipeline
-from cveminer.projection import TsneParams, trustworthiness, tsne
+from cveminer.projection import EXAGGERATION_ITERS, TsneParams, trustworthiness, tsne
 from cveminer.topics import extract_ngrams
 from cveminer.vectors import EmbeddingMatrix
 
@@ -156,7 +156,7 @@ def test_criterion_7_projection_quality():
         params = TsneParams()
         first = tsne(matrix, params, seed=11)
         assert trustworthiness(matrix, first, k=10) >= 0.90
-        post = [(it, kl) for it, kl in first.kl_trace if it > params.exaggeration_iters]
+        post = [(it, kl) for it, kl in first.kl_trace if it > EXAGGERATION_ITERS]
         for (_, before), (_, after) in zip(post, post[1:]):
             assert after <= before + 1e-3
         second = tsne(matrix, params, seed=11)

@@ -11,8 +11,6 @@ from cveminer.classifier import (Prediction, ValidationReport, build_hwsw_prompt
 from cveminer.errors import (DuplicatePrediction, MissingPrediction,
                              UnparseableLabel)
 
-NO_SLEEP = lambda s: None  # noqa: E731
-
 
 @pytest.fixture
 def hwsw():
@@ -91,7 +89,7 @@ def test_parse_label_never_outside_binary():
 
 
 def test_classify_mini_corpus_matches_keyword_oracle(mini_records, chat_config, hwsw):
-    predictions, failures = classify_corpus(chat_config, hwsw, mini_records, sleep=NO_SLEEP)
+    predictions, failures = classify_corpus(chat_config, hwsw, mini_records)
     assert failures == []
     assert len(predictions) + len(failures) == len(mini_records)
     # independent oracle: scan each description for the mock keyword list
@@ -106,7 +104,7 @@ def test_classify_mini_corpus_matches_keyword_oracle(mini_records, chat_config, 
 
 def test_classify_all_failing_provider(mini_records, hwsw):
     config = gateway.ProviderConfig(kind="mock-chat", model_id="mock-fail-hwsw", retry_limit=0)
-    predictions, failures = classify_corpus(config, hwsw, mini_records, sleep=NO_SLEEP)
+    predictions, failures = classify_corpus(config, hwsw, mini_records)
     assert predictions == []
     assert len(failures) == len(mini_records)
 
@@ -114,7 +112,7 @@ def test_classify_all_failing_provider(mini_records, hwsw):
 def test_classify_unparseable_goes_to_failures(mini_records, hwsw, monkeypatch):
     monkeypatch.setattr(gateway, "mock_chat_reply", lambda *a, **k: "cannot say")
     config = gateway.ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
-    predictions, failures = classify_corpus(config, hwsw, mini_records[:3], sleep=NO_SLEEP)
+    predictions, failures = classify_corpus(config, hwsw, mini_records[:3])
     assert predictions == []
     assert all("unparseable" in reason for _, reason in failures)
 

@@ -50,6 +50,8 @@ def test_lloyd_separable_doubles():
     assert model.wcss == 0.0
     assert sorted(map(tuple, model.centroids)) == [(0.0, 0.0), (10.0, 10.0)]
     assert model.converged
+    with pytest.raises(ValueError):
+        lloyd(m, np.array([[1.0, 1.0], [9.0, 9.0]]), max_iter=0)
 
 
 def test_lloyd_k1_is_global_mean():

@@ -21,8 +21,6 @@ from cveminer.gateway import (ProviderConfig, ResponseCache, cache_key,
                               complete, embed, mock_chat_reply,
                               mock_embed_vector, run_batch)
 
-NO_SLEEP = lambda s: None  # noqa: E731
-
 
 def test_provider_config_validation():
     with pytest.raises(ValueError):
@@ -192,23 +190,23 @@ def test_mock_chat_summarize_rule():
 def test_mock_chat_uninterpretable_prompt_fails():
     bad = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
     with pytest.raises(ProviderError):
-        complete(bad, "just some text", sleep=NO_SLEEP)
+        complete(bad, "just some text")
 
 
 def test_complete_warm_cache_short_circuits(tmp_path, chat_config, embed_config, monkeypatch):
     # both operations: a cache hit makes no attempt and no provider call
     cache = ResponseCache(tmp_path / "c.jsonl")
-    first = complete(chat_config, "DESC: dram row hammer", cache=cache, sleep=NO_SLEEP)
+    first = complete(chat_config, "DESC: dram row hammer", cache=cache)
     assert first.text == "1" and first.cached is False and first.attempts == 1
-    vector = embed(embed_config, "dram row hammer", cache=cache, sleep=NO_SLEEP)
+    vector = embed(embed_config, "dram row hammer", cache=cache)
 
     calls = []  # every attempt of a mock provider passes _mock_maybe_fail first
     for name in ("_mock_maybe_fail", "mock_chat_reply", "mock_embed_vector"):
         monkeypatch.setattr(gateway, name, lambda *a, name=name, **k: calls.append(name))
-    second = complete(chat_config, "DESC: dram row hammer", cache=cache, sleep=NO_SLEEP)
+    second = complete(chat_config, "DESC: dram row hammer", cache=cache)
     assert second.text == first.text
     assert second.cached is True and second.attempts == 0
-    again = embed(embed_config, "dram row hammer", cache=cache, sleep=NO_SLEEP)
+    again = embed(embed_config, "dram row hammer", cache=cache)
     assert again.tobytes() == vector.tobytes()
     assert calls == []  # zero attempts, zero provider invocations
     cache.close()
@@ -216,15 +214,16 @@ def test_complete_warm_cache_short_circuits(tmp_path, chat_config, embed_config,
 
 @pytest.mark.parametrize("op", ["complete", "embed"])
 def test_failure_after_retries_raises_and_leaves_cache_unchanged(tmp_path, op, chat_config,
-                                                                 embed_config):
+                                                                 embed_config, monkeypatch):
     fn, config = (complete, chat_config) if op == "complete" else (embed, embed_config)
     path = tmp_path / "c.jsonl"
     cache = ResponseCache(path)
-    fn(config, "DESC: spi flash", cache=cache, sleep=NO_SLEEP)
+    fn(config, "DESC: spi flash", cache=cache)
     before = path.read_bytes()
     slept = []
-    with pytest.raises(ProviderError):
-        fn(config, "DESC: spi flash mock::fail", cache=cache, sleep=slept.append)
+    with monkeypatch.context() as patch, pytest.raises(ProviderError):
+        patch.setattr(gateway.time, "sleep", slept.append)
+        fn(config, "DESC: spi flash mock::fail", cache=cache)
     cache.close()
     assert len(slept) == config.retry_limit  # every retry was spent
     assert path.read_bytes() == before
@@ -234,34 +233,34 @@ def test_failure_after_retries_raises_and_leaves_cache_unchanged(tmp_path, op, c
 def test_cache_cold_equals_warm_bytes(tmp_path, chat_config, embed_config):
     cache = ResponseCache(tmp_path / "c.jsonl")
     prompt = "DESC: soc power rail glitch"
-    cold = complete(chat_config, prompt, cache=cache, sleep=NO_SLEEP).text
-    warm = complete(chat_config, prompt, cache=cache, sleep=NO_SLEEP).text
+    cold = complete(chat_config, prompt, cache=cache).text
+    warm = complete(chat_config, prompt, cache=cache).text
     assert cold.encode() == warm.encode()
 
-    vec_cold = embed(embed_config, "some text", cache=cache, sleep=NO_SLEEP)
-    vec_warm = embed(embed_config, "some text", cache=cache, sleep=NO_SLEEP)
+    vec_cold = embed(embed_config, "some text", cache=cache)
+    vec_warm = embed(embed_config, "some text", cache=cache)
     assert vec_cold.tobytes() == vec_warm.tobytes()
     cache.close()
 
 
 def test_mock_embed_dimension_and_norm(embed_config):
-    vec = embed(embed_config, "any text at all", sleep=NO_SLEEP)
+    vec = embed(embed_config, "any text at all")
     assert len(vec) == 64
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
     vec128 = embed(ProviderConfig(kind="mock-embed", model_id="mock-embed-128"),
-                   "any text at all", sleep=NO_SLEEP)
+                   "any text at all")
     assert len(vec128) == 128
 
 
 def test_mock_embed_deterministic(embed_config):
-    a = embed(embed_config, "same text", sleep=NO_SLEEP)
-    b = embed(embed_config, "same text", sleep=NO_SLEEP)
+    a = embed(embed_config, "same text")
+    b = embed(embed_config, "same text")
     assert a.tobytes() == b.tobytes()
 
 
 def test_mock_embed_sensitive_to_one_char(embed_config):
-    a = embed(embed_config, "same text", sleep=NO_SLEEP)
-    b = embed(embed_config, "same texu", sleep=NO_SLEEP)
+    a = embed(embed_config, "same text")
+    b = embed(embed_config, "same texu")
     assert np.any(a != b)
 
 
@@ -299,14 +298,14 @@ def test_mock_embed_class_structure():
 def test_run_batch_preserves_order(chat_config, monkeypatch):
     real = gateway.mock_chat_reply
 
-    def slow_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+    def slow_reply(model_id, prompt):
         # vary completion timing so index alignment is actually exercised
         time.sleep(0.02 if "dram" in prompt else 0.001)
-        return real(model_id, prompt, keywords)
+        return real(model_id, prompt)
 
     monkeypatch.setattr(gateway, "mock_chat_reply", slow_reply)
     prompts = [f"DESC: {'dram' if i % 3 == 0 else 'web'} item {i}" for i in range(10)]
-    items = run_batch(chat_config, prompts, op="complete", sleep=NO_SLEEP)
+    items = run_batch(chat_config, prompts, op="complete")
     assert [it.index for it in items] == list(range(10))
     expected = ["1" if i % 3 == 0 else "0" for i in range(10)]
     assert [it.value.text for it in items] == expected
@@ -318,17 +317,17 @@ def test_run_batch_parallelism_bound(monkeypatch):
     state = {"active": 0, "peak": 0}
     real = gateway.mock_chat_reply
 
-    def tracking_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+    def tracking_reply(model_id, prompt):
         with lock:
             state["active"] += 1
             state["peak"] = max(state["peak"], state["active"])
         time.sleep(0.01)
         with lock:
             state["active"] -= 1
-        return real(model_id, prompt, keywords)
+        return real(model_id, prompt)
 
     monkeypatch.setattr(gateway, "mock_chat_reply", tracking_reply)
-    run_batch(config, [f"DESC: item {i}" for i in range(12)], op="complete", sleep=NO_SLEEP)
+    run_batch(config, [f"DESC: item {i}" for i in range(12)], op="complete")
     assert 1 <= state["peak"] <= 3
 
 
@@ -341,17 +340,17 @@ def test_run_batch_bills_duplicate_inputs_once(tmp_path, monkeypatch):
     calls = []
     real = gateway.mock_chat_reply
 
-    def gated_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+    def gated_reply(model_id, prompt):
         calls.append(prompt)
         try:
             barrier.wait(timeout=0.5)
         except threading.BrokenBarrierError:
             pass
-        return real(model_id, prompt, keywords)
+        return real(model_id, prompt)
 
     monkeypatch.setattr(gateway, "mock_chat_reply", gated_reply)
     items = run_batch(config, ["DESC: firmware flaw", "DESC: firmware flaw"], op="complete",
-                      cache=cache, sleep=NO_SLEEP)
+                      cache=cache)
     cache.close()
     assert calls == ["DESC: firmware flaw"]
     assert [it.index for it in items] == [0, 1]
@@ -369,17 +368,17 @@ def test_run_batch_bills_nfc_equivalent_inputs_once(tmp_path, monkeypatch):
     calls = []
     real = gateway.mock_chat_reply
 
-    def gated_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+    def gated_reply(model_id, prompt):
         calls.append(prompt)
         try:
             barrier.wait(timeout=0.5)
         except threading.BrokenBarrierError:
             pass
-        return real(model_id, prompt, keywords)
+        return real(model_id, prompt)
 
     monkeypatch.setattr(gateway, "mock_chat_reply", gated_reply)
     nfc, nfd = "DESC: caf\u00e9 firmware", "DESC: cafe\u0301 firmware"
-    items = run_batch(config, [nfc, nfd], op="complete", cache=cache, sleep=NO_SLEEP)
+    items = run_batch(config, [nfc, nfd], op="complete", cache=cache)
     cache.close()
     assert calls == [nfc]
     assert [it.index for it in items] == [0, 1]
@@ -390,7 +389,7 @@ def test_run_batch_bills_nfc_equivalent_inputs_once(tmp_path, monkeypatch):
 def test_run_batch_duplicates_share_the_error(chat_config):
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
     bad = f"DESC: {gateway.TEXT_FAIL_MARKER}"
-    items = run_batch(config, [bad, "DESC: ok", bad], op="complete", sleep=NO_SLEEP)
+    items = run_batch(config, [bad, "DESC: ok", bad], op="complete")
     assert items[0].error is items[2].error and isinstance(items[2].error, ProviderError)
     assert items[1].error is None and items[2].index == 2
 
@@ -400,13 +399,13 @@ def test_run_batch_single_worker_runs_on_calling_thread(monkeypatch):
     seen = set()
     real = gateway.mock_chat_reply
 
-    def recording_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+    def recording_reply(model_id, prompt):
         seen.add(threading.get_ident())
-        return real(model_id, prompt, keywords)
+        return real(model_id, prompt)
 
     monkeypatch.setattr(gateway, "mock_chat_reply", recording_reply)
     before = threading.active_count()
-    items = run_batch(config, [f"DESC: item {i}" for i in range(5)], op="complete", sleep=NO_SLEEP)
+    items = run_batch(config, [f"DESC: item {i}" for i in range(5)], op="complete")
     assert seen == {threading.get_ident()}
     assert threading.active_count() == before
     assert [it.value.text for it in items] == ["0"] * 5
@@ -420,10 +419,10 @@ def test_run_batch_stress_each_distinct_input_once(tmp_path, monkeypatch):
     lock = threading.Lock()
     real = gateway.mock_chat_reply
 
-    def counting_reply(model_id, prompt, keywords=gateway.DEFAULT_HW_KEYWORDS):
+    def counting_reply(model_id, prompt):
         with lock:
             counts[prompt] = counts.get(prompt, 0) + 1
-        return real(model_id, prompt, keywords)
+        return real(model_id, prompt)
 
     monkeypatch.setattr(gateway, "mock_chat_reply", counting_reply)
     prompts = [f"DESC: {'spi' if i % 2 else 'web'} item {i % 100}" for i in range(400)]
@@ -433,7 +432,7 @@ def test_run_batch_stress_each_distinct_input_once(tmp_path, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         start = time.perf_counter()
-        items = run_batch(config, prompts, op="complete", cache=cache, sleep=NO_SLEEP)
+        items = run_batch(config, prompts, op="complete", cache=cache)
         assert time.perf_counter() - start < 30
     finally:
         sys.setswitchinterval(interval)
@@ -448,24 +447,30 @@ def test_run_batch_stress_each_distinct_input_once(tmp_path, monkeypatch):
 def test_run_batch_isolates_item_failures(chat_config):
     prompts = ["DESC: one", f"DESC: two {gateway.TEXT_FAIL_MARKER}", "DESC: three"]
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
-    items = run_batch(config, prompts, op="complete", sleep=NO_SLEEP)
+    items = run_batch(config, prompts, op="complete")
     assert items[0].error is None and items[2].error is None
     assert isinstance(items[1].error, ProviderError)
 
 
 def test_zero_retries_flaky_fails_once():
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
-    items = run_batch(config, ["DESC: x mock::flaky1"], op="complete", sleep=NO_SLEEP)
+    items = run_batch(config, ["DESC: x mock::flaky1"], op="complete")
     assert isinstance(items[0].error, ProviderError)
 
 
-def test_retry_recovers_flaky_and_counts_attempts():
-    config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=2)
+def test_retry_recovers_flaky_and_counts_attempts(monkeypatch):
+    config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=3)
+    monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.001)
     slept = []
-    result = complete(config, "DESC: y mock::flaky2", sleep=slept.append)
+    with monkeypatch.context() as patch:
+        patch.setattr(gateway.time, "sleep", slept.append)
+        result = complete(config, "DESC: y mock::flaky3")
     assert result.text == "0"
-    assert result.attempts == 3 <= config.retry_limit + 1
-    assert len(slept) == 2 and all(s >= 0 for s in slept)
+    assert result.attempts == 4 <= config.retry_limit + 1
+    # retry k waits uniform(0, BACKOFF_BASE_S * 2^(k-1)), read when the call runs
+    assert len(slept) == 3
+    assert all(0.0 <= s <= 0.001 * 2 ** k for k, s in enumerate(slept))
+    assert max(slept) > 0.0
 
 
 def test_run_batch_rejects_empty_and_bad_op(chat_config):
@@ -535,7 +540,7 @@ def test_remote_chat_happy_path(monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "sekrit")
         config = ProviderConfig(kind="remote-chat", model_id="big-model", endpoint=url,
                                 timeout=5.0, retry_limit=0)
-        result = complete(config, "DESC: firmware", sleep=NO_SLEEP)
+        result = complete(config, "DESC: firmware")
         assert result.text == "1" and result.attempts == 1
         sent = script.requests[0]
         assert sent["auth"] == "Bearer sekrit"
@@ -549,7 +554,7 @@ def test_remote_chat_retries_on_429_then_succeeds():
     with _serve(script) as url:
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=5.0, retry_limit=3)
-        result = complete(config, "p", backoff_base=0.0, sleep=NO_SLEEP)
+        result = complete(config, "p")
         assert result.text == "0" and result.attempts == 3
 
 
@@ -559,7 +564,7 @@ def test_remote_chat_gives_up_after_retries():
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=5.0, retry_limit=2)
         with pytest.raises(ProviderError) as err:
-            complete(config, "p", backoff_base=0.0, sleep=NO_SLEEP)
+            complete(config, "p")
         assert err.value.status == 503
         assert len(script.requests) == 3
 
@@ -570,7 +575,7 @@ def test_remote_chat_404_is_not_retried():
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=5.0, retry_limit=3)
         with pytest.raises(ProviderError) as err:
-            complete(config, "p", backoff_base=0.0, sleep=NO_SLEEP)
+            complete(config, "p")
         assert err.value.status == 404
         assert len(script.requests) == 1
 
@@ -581,7 +586,7 @@ def test_remote_timeout_becomes_timeout_error():
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=0.2, retry_limit=1)
         with pytest.raises(TimeoutError):
-            complete(config, "p", backoff_base=0.0, sleep=NO_SLEEP)
+            complete(config, "p")
 
 
 def test_remote_embed_happy_path():
@@ -589,7 +594,7 @@ def test_remote_embed_happy_path():
     with _serve(script) as url:
         config = ProviderConfig(kind="remote-embed", model_id="small-embedder",
                                 endpoint=url, timeout=5.0, retry_limit=0)
-        vec = embed(config, "hello", sleep=NO_SLEEP)
+        vec = embed(config, "hello")
         assert len(vec) == 3
         assert vec.tolist() == [0.1, 0.2, 0.3]
         assert script.requests[0]["body"] == {"model": "small-embedder", "input": "hello"}
@@ -602,7 +607,7 @@ def test_remote_embed_records_provider_dimension():
     with _serve(script) as url:
         config = ProviderConfig(kind="remote-embed", model_id="text-embedding-3-large",
                                 endpoint=url, timeout=5.0, retry_limit=0)
-        vec = embed(config, "hello", sleep=NO_SLEEP)
+        vec = embed(config, "hello")
         assert len(vec) == 3072
 
 
@@ -612,7 +617,7 @@ def test_remote_malformed_response():
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=5.0, retry_limit=0)
         with pytest.raises(ProviderError):
-            complete(config, "p", sleep=NO_SLEEP)
+            complete(config, "p")
 
 
 @pytest.mark.parametrize("op, reply", [
@@ -634,11 +639,11 @@ def test_remote_malformed_reply_is_never_cached(tmp_path, op, reply):
         config = ProviderConfig(kind=f"remote-{'chat' if op == 'complete' else 'embed'}",
                                 model_id="m", endpoint=url, timeout=5.0, retry_limit=2)
         with pytest.raises(ProviderError) as err:
-            fn(config, "DESC: firmware", cache=cache, backoff_base=0.0, sleep=NO_SLEEP)
+            fn(config, "DESC: firmware", cache=cache)
         assert err.value.status == 200 and "malformed" in err.value.body
         assert len(script.requests) == 1  # checked once, not retried
         assert path.read_bytes() == before
-        again = fn(config, "DESC: firmware", cache=cache, backoff_base=0.0, sleep=NO_SLEEP)
+        again = fn(config, "DESC: firmware", cache=cache)
         assert len(script.requests) == 2  # the next call asks the provider again
     cache.close()
     if op == "complete":
@@ -713,7 +718,7 @@ def test_run_batch_keeps_one_connection_per_worker_and_closes_them(monkeypatch):
     with _serve_keep_alive() as (url, stats):
         config = ProviderConfig(kind="remote-chat", model_id="mock-hwsw", endpoint=url,
                                 max_parallel=2, timeout=5.0, retry_limit=0)
-        items = run_batch(config, prompts, op="complete", sleep=NO_SLEEP)
+        items = run_batch(config, prompts, op="complete")
         assert [it.error for it in items] == [None] * len(prompts)
         assert [it.value.text for it in items] == [mock_chat_reply("mock-hwsw", p)
                                                    for p in prompts]
@@ -723,7 +728,7 @@ def test_run_batch_keeps_one_connection_per_worker_and_closes_them(monkeypatch):
         assert _eventually(lambda: stats["closed"] == stats["opened"])
         # a call outside a batch opens its own connection and closes it
         opened = stats["opened"]
-        assert complete(config, "DESC: spi flash", sleep=NO_SLEEP).text == "1"
+        assert complete(config, "DESC: spi flash").text == "1"
         assert stats["opened"] == opened + 1
         assert _eventually(lambda: stats["closed"] == stats["opened"])
 
@@ -734,7 +739,7 @@ def test_a_connection_dropped_while_idle_is_reopened_within_the_attempt():
         # no retries: the reopen must not cost an attempt
         config = ProviderConfig(kind="remote-chat", model_id="mock-hwsw", endpoint=url,
                                 max_parallel=1, timeout=5.0, retry_limit=0)
-        items = run_batch(config, prompts, op="complete", sleep=NO_SLEEP)
+        items = run_batch(config, prompts, op="complete")
         assert [it.error for it in items] == [None] * 3
         assert [it.value.text for it in items] == ["1", "0", "1"]
         assert [it.value.attempts for it in items] == [1, 1, 1]
@@ -793,7 +798,7 @@ def test_https_endpoint_tunnels_through_https_proxy(monkeypatch, loopback_only):
         config = ProviderConfig(kind="remote-chat", model_id="m", timeout=5.0, retry_limit=0,
                                 endpoint="https://api.provider.test/v1/chat/completions")
         with pytest.raises(ProviderError) as err:
-            complete(config, "p", sleep=NO_SLEEP)
+            complete(config, "p")
     assert "connection failure" in err.value.body and "403" in err.value.body
     head = seen[0].decode("latin-1")
     assert head.startswith("CONNECT api.provider.test:443 HTTP/1.")
@@ -807,7 +812,7 @@ def test_https_endpoint_named_in_no_proxy_is_reached_directly(monkeypatch, loopb
         config = ProviderConfig(kind="remote-chat", model_id="m", timeout=5.0, retry_limit=0,
                                 endpoint=f"https://127.0.0.1:{port}/v1/chat/completions")
         with pytest.raises(ProviderError) as err:
-            complete(config, "p", sleep=NO_SLEEP)
+            complete(config, "p")
     assert "connection failure" in err.value.body
     assert seen[0][:1] == b"\x16"  # a TLS handshake record, not a CONNECT
 

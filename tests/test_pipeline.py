@@ -674,7 +674,16 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
             ({"corpus.paths": "corpus.jsonl"}, [], "corpus.paths"),
             ({"corpus.years": "2021"}, [], "corpus.years"),
             ({"clustering.elbow_range": "25"}, [], "clustering.elbow_range"),
-            ({"corpus": 5}, [], "corpus.paths")]:
+            ({"corpus": 5}, [], "corpus.paths"),
+            # out-of-range values, rejected before a stage computes or bills a call
+            ({"projection.iterations": 0}, [], "projection.iterations"),
+            ({"clustering.max_iter": 0}, [], "clustering.max_iter"),
+            ({"clustering.restarts": 0}, [], "clustering.restarts"),
+            ({"clustering.k": 0}, [], "clustering.k"),
+            ({"projection.perplexity": 0}, [], "projection.perplexity"),
+            ({}, ["--projection.perplexity=NaN"], "projection.perplexity"),
+            ({"topics.r": 0}, [], "topics.r"),
+            ({"report.m": 0}, [], "report.m")]:
         capsys.readouterr()
         assert cli_main(["pipeline", "--config", str(_config_file(tmp_path, **overrides)),
                          *extras]) == 2

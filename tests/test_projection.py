@@ -11,14 +11,14 @@ import cveminer
 from matrices import blob_matrix, random_matrix
 from cveminer import projection
 from cveminer.errors import DegenerateInput, PerplexityTooLarge, RangeError
-from cveminer.projection import (ENTROPY_TOL, MAX_BISECTIONS, ProjectionResult,
-                                 TsneParams, conditional_affinities,
+from cveminer.projection import (ENTROPY_TOL, EXAGGERATION_ITERS, MAX_BISECTIONS,
+                                 ProjectionResult, TsneParams, conditional_affinities,
                                  joint_affinities, trustworthiness, tsne)
 from cveminer.vectors import EmbeddingMatrix
 
 
 def small_params(**overrides):
-    base = dict(perplexity=5.0, iterations=300, kl_interval=50)
+    base = dict(perplexity=5.0, iterations=300)
     base.update(overrides)
     return TsneParams(**base)
 
@@ -143,6 +143,8 @@ def test_tsne_preconditions():
         tsne(random_matrix(5, 10, 3), TsneParams(perplexity=3.0))
     with pytest.raises(ValueError):
         tsne(random_matrix(5, 10, 3), TsneParams(perplexity=0.0))
+    with pytest.raises(ValueError):
+        tsne(random_matrix(5, 10, 3), TsneParams(perplexity=2.0, iterations=0))
 
 
 def test_tsne_degenerate_input():
@@ -164,13 +166,16 @@ def test_tsne_kl_trace_every_interval():
     result = tsne(m, small_params(iterations=250), seed=2)
     assert [it for it, _ in result.kl_trace] == [50, 100, 150, 200, 250]
     assert result.final_kl == result.kl_trace[-1][1]
+    # the last iteration is recorded once, also off the interval
+    result = tsne(m, small_params(iterations=120), seed=2)
+    assert [it for it, _ in result.kl_trace] == [50, 100, 120]
 
 
 def test_tsne_blobs_quality_and_kl_descent():
     m, _ = blob_matrix(8, n_per_blob=100, n_blobs=3, dim=64, sigma=0.05)
     result = tsne(m, TsneParams(), seed=8)
     assert trustworthiness(m, result, k=10) >= 0.90
-    post = [(it, kl) for it, kl in result.kl_trace if it > TsneParams().exaggeration_iters]
+    post = [(it, kl) for it, kl in result.kl_trace if it > EXAGGERATION_ITERS]
     assert len(post) >= 5
     for (_, before), (_, after) in zip(post, post[1:]):
         assert after <= before + 1e-3

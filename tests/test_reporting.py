@@ -7,11 +7,10 @@ import pytest
 
 from cveminer.classifier import ValidationReport
 from cveminer.errors import ClusterMismatch, EmptyProfile
-from cveminer.projection import ProjectionResult, TsneParams
 from cveminer.reporting import (growth_csv, representatives_table, review_export,
                                 scatter_svg, term_weights, topic_table,
                                 validation_summary, wordcloud_grid_svg)
-from cveminer.topics import NgramEntry, NgramProfile, TopicSummary
+from cveminer.topics import NgramEntry, NgramProfile
 
 T0_KEYWORDS = ["access", "local", "user", "privileged", "privileged user",
                "firmware", "privilege", "escalation", "escalation privilege",
@@ -25,28 +24,23 @@ def profile_from(keywords, cluster=0):
     return NgramProfile(cluster=cluster, entries=entries, r=15)
 
 
-def summary_from(label, keywords, cluster=0):
-    return TopicSummary(cluster=cluster, label=label, keywords_used=tuple(keywords),
-                        model_id="m")
-
-
 def test_topic_table_renders_row():
-    md = topic_table([profile_from(T0_KEYWORDS)], [summary_from(T0_LABEL, T0_KEYWORDS)])
+    md = topic_table([profile_from(T0_KEYWORDS)], {0: T0_LABEL})
     assert "access, local, user, privileged" in md
     assert T0_LABEL in md
     assert md.splitlines()[0].startswith("| Topic |")
 
 
 def test_topic_table_empty_and_cardinality():
-    assert len(topic_table([], []).splitlines()) == 2  # header only
+    assert len(topic_table([], {}).splitlines()) == 2  # header only
     profiles = [profile_from([f"kw{i}"], cluster=i) for i in range(5)]
-    summaries = [summary_from(f"label {i}", [f"kw{i}"], cluster=i) for i in range(5)]
-    assert len(topic_table(profiles, summaries).splitlines()) == 7
+    labels = {i: f"label {i}" for i in range(5)}
+    assert len(topic_table(profiles, labels).splitlines()) == 7
 
 
 def test_topic_table_mismatch():
     with pytest.raises(ClusterMismatch):
-        topic_table([profile_from(["a"], cluster=0)], [summary_from("l", ["a"], cluster=1)])
+        topic_table([profile_from(["a"], cluster=0)], {1: "l"})
 
 
 def test_representatives_table_column_layout():
@@ -85,17 +79,15 @@ def test_growth_csv():
     assert growth_csv({2022: 3, 2021: 5}) == "year,count\n2021,5\n2022,3\n"
 
 
-def _projection(n, seed=0):
-    rng = np.random.default_rng(seed)
+def _points(n, seed=0):
     ids = [f"CVE-2021-{1000+i}" for i in range(n)]
-    return ProjectionResult(ids=ids, coords=rng.normal(size=(n, 2)),
-                            params=TsneParams(), seed=seed, final_kl=0.0)
+    return ids, np.random.default_rng(seed).normal(size=(n, 2))
 
 
 def test_scatter_svg_structure():
-    proj = _projection(3)
-    clusters = {proj.ids[0]: 0, proj.ids[1]: 0, proj.ids[2]: 1}
-    svg = scatter_svg(proj, clusters, legend={0: "one", 1: "two"})
+    ids, coords = _points(3)
+    clusters = {ids[0]: 0, ids[1]: 0, ids[2]: 1}
+    svg = scatter_svg(ids, coords, clusters, legend={0: "one", 1: "two"})
     root = ET.fromstring(svg)  # well-formed XML
     circles = [el for el in root.iter() if el.tag.endswith("circle")]
     texts = [el for el in root.iter() if el.tag.endswith("text")]
@@ -105,14 +97,14 @@ def test_scatter_svg_structure():
     for circle in circles:
         assert min_x <= float(circle.attrib["cx"]) <= min_x + width
         assert min_y <= float(circle.attrib["cy"]) <= min_y + height
-    assert scatter_svg(proj, clusters, legend={0: "one", 1: "two"}) == svg
+    assert scatter_svg(ids, coords, clusters, legend={0: "one", 1: "two"}) == svg
 
 
 def test_scatter_svg_large_budget():
-    proj = _projection(1742, seed=1)
-    clusters = {cve_id: i % 5 for i, cve_id in enumerate(proj.ids)}
+    ids, coords = _points(1742, seed=1)
+    clusters = {cve_id: i % 5 for i, cve_id in enumerate(ids)}
     start = time.perf_counter()
-    svg = scatter_svg(proj, clusters)
+    svg = scatter_svg(ids, coords, clusters)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     assert len(svg) < 2 * 1024 * 1024

@@ -12,8 +12,6 @@ from cveminer.topics import (NgramEntry, NgramProfile, build_sum_prompt,
                              cluster_keywords, dump_profiles, extract_ngrams,
                              load_profiles, summarize_cluster, tokenize)
 
-NO_SLEEP = lambda s: None  # noqa: E731
-
 
 def test_tokenize_drops_stopwords():
     assert tokenize("Denial of Service") == ["denial", "service"]
@@ -193,23 +191,22 @@ def test_build_sum_prompt_wrong_template():
 def test_summarize_mock_label(summarize_template, chat_config):
     texts = json.loads(fixture_bytes("topic0_texts.json"))
     profile = NgramProfile(cluster=0, entries=extract_ngrams(texts, r=15), r=15)
-    summary = summarize_cluster(chat_config, summarize_template, profile, sleep=NO_SLEEP)
-    assert summary.label == "topic: access local user privileged"
-    assert summary.keywords_used[:4] == ("access", "local", "user", "privileged")
-    assert summary.model_id == "mock-hwsw"
+    assert profile.keywords[:4] == ["access", "local", "user", "privileged"]
+    label = summarize_cluster(chat_config, summarize_template, profile)
+    assert label == "topic: access local user privileged"
 
 
 def test_summarize_keeps_first_nonempty_line(summarize_template, chat_config, monkeypatch):
     monkeypatch.setattr(gateway, "mock_chat_reply",
                         lambda *a, **k: "\n\n  Memory Corruption Topic  \nsecond line")
-    summary = summarize_cluster(chat_config, summarize_template, _profile("a"), sleep=NO_SLEEP)
-    assert summary.label == "Memory Corruption Topic"
+    label = summarize_cluster(chat_config, summarize_template, _profile("a"))
+    assert label == "Memory Corruption Topic"
 
 
 def test_summarize_blocked_term_routes_to_review(summarize_template, chat_config, monkeypatch):
     monkeypatch.setattr(gateway, "mock_chat_reply", lambda *a, **k: "Intel firmware issue")
     with pytest.raises(BlockedTermInLabel) as err:
-        summarize_cluster(chat_config, summarize_template, _profile("a"), sleep=NO_SLEEP)
+        summarize_cluster(chat_config, summarize_template, _profile("a"))
     assert err.value.label == "Intel firmware issue"
     assert err.value.term == "intel"
 

@@ -12,13 +12,11 @@ from cveminer.gateway import ProviderConfig, ResponseCache, decode_f64, encode_f
 from cveminer.vectors import (EmbedAborted, EmbeddingMatrix, dump_matrix, embed_corpus,
                               load_matrix, normalize_matrix)
 
-NO_SLEEP = lambda s: None  # noqa: E731
-
 
 def test_vector_invariants(embed_config):
     with pytest.raises(ValueError):
         EmbeddingMatrix(ids=["a"], rows=np.array([[1.0, np.inf]]), dim=2, model_id="m")
-    v = gateway.embed(embed_config, "some text", sleep=NO_SLEEP)
+    v = gateway.embed(embed_config, "some text")
     with pytest.raises(ValueError):
         v[0] = 5.0  # frozen storage
 
@@ -116,9 +114,9 @@ def test_embed_corpus_abort_then_cache_resume(tmp_path, monkeypatch):
     calls = []
     real = gateway.mock_embed_vector
 
-    def counting(model_id, text, keywords=gateway.DEFAULT_HW_KEYWORDS):
+    def counting(model_id, text):
         calls.append(text)
-        return real(model_id, text, keywords)
+        return real(model_id, text)
 
     monkeypatch.setattr(gateway, "mock_embed_vector", counting)
     matrix = embed_corpus(config, records, cache=cache)
@@ -132,8 +130,8 @@ def test_embed_corpus_dim_consistency(monkeypatch):
     config = ProviderConfig(kind="mock-embed", model_id="mock-embed-64", max_parallel=1)
     real = gateway.mock_embed_vector
 
-    def ragged(model_id, text, keywords=gateway.DEFAULT_HW_KEYWORDS):
-        out = real(model_id, text, keywords)
+    def ragged(model_id, text):
+        out = real(model_id, text)
         return out[:32] if text.endswith("3") else out
 
     monkeypatch.setattr(gateway, "mock_embed_vector", ragged)
