@@ -23,7 +23,7 @@ from json.encoder import encode_basestring as _json_str
 from . import gateway
 from .assets import asset_text
 from .corpus import CveRecord, LabeledCve, _escape_line_breaks
-from .errors import DuplicatePrediction, MissingPrediction, UnparseableLabel
+from .errors import CveMinerError, UnparseableLabel
 
 HARDWARE = 1
 SOFTWARE = 0
@@ -150,9 +150,9 @@ def evaluate(predictions: list[Prediction], labels: list[LabeledCve]) -> Validat
         cve_id = labeled.record.id
         matched = by_id.get(cve_id, [])
         if not matched:
-            raise MissingPrediction(cve_id)
+            raise CveMinerError(f"no prediction for {cve_id}")
         if len(matched) > 1:
-            raise DuplicatePrediction(cve_id)
+            raise CveMinerError(f"more than one prediction for {cve_id}")
         predicted = matched[0].label
         if labeled.label == HARDWARE:
             tp += predicted == HARDWARE

@@ -37,8 +37,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import KTooLarge, RangeError
+from .errors import CveMinerError
 from .vectors import EmbeddingMatrix
+
+METRICS = ("cosine", "euclidean")  # what `representatives` ranks members by
 
 
 @dataclass
@@ -161,7 +163,7 @@ def kmeanspp_init(matrix: EmbeddingMatrix, k: int, seed: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
-        raise KTooLarge(f"k={k} exceeds row count {n}")
+        raise CveMinerError(f"k={k} exceeds row count {n}")
     canon = _canon if _canon is not None else _canonical(matrix)
     rng = np.random.default_rng(seed)
 
@@ -304,7 +306,7 @@ def choose_elbow(k_values: list[int], wcss_values: list[float]) -> int:
     interior k wins.
     """
     if len(k_values) != len(wcss_values) or len(k_values) < 3:
-        raise RangeError("elbow needs at least 3 matched (k, wcss) points")
+        raise CveMinerError("elbow needs at least 3 matched (k, wcss) points")
     best_k = None
     best_d2 = -np.inf
     for i in range(1, len(k_values) - 1):
@@ -320,9 +322,9 @@ def elbow_select(matrix: EmbeddingMatrix, k_min: int, k_max: int, seed: int,
     """Scan k in [k_min, k_max] and pick the sharpest bend of the WCSS curve."""
     n = len(matrix)
     if not (2 <= k_min < k_max <= n - 1):
-        raise RangeError(f"need 2 <= k_min < k_max <= {n - 1}, got [{k_min}, {k_max}]")
+        raise CveMinerError(f"need 2 <= k_min < k_max <= {n - 1}, got [{k_min}, {k_max}]")
     if k_max - k_min < 2:
-        raise RangeError("elbow scan needs at least 3 k values")
+        raise CveMinerError("elbow scan needs at least 3 k values")
     k_values = list(range(k_min, k_max + 1))
     canon = _canonical(matrix)
     wcss_values = [fit_best_of(matrix, k, seed, restarts, max_iter, tol, _canon=canon).wcss
@@ -340,7 +342,7 @@ def representatives(matrix: EmbeddingMatrix, model: ClusterModel, m: int,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if metric not in ("cosine", "euclidean"):
+    if metric not in METRICS:
         raise ValueError(f"unsupported metric {metric!r}")
     ids = np.array(matrix.ids)
     out: dict[int, list[str]] = {}

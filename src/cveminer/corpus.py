@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 
-from .errors import DecodeError, DuplicateIdError, FormatError, PatternError, RangeError
+from .errors import CveMinerError, PatternError
 
 CVE_ID_RE = re.compile(r"^CVE-(\d{4})-(\d{4,7})$")
 
@@ -96,7 +96,7 @@ def _decode(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DecodeError(str(exc)) from None
+        raise CveMinerError(str(exc)) from None
 
 
 def _parse_canonical(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
@@ -159,12 +159,12 @@ def _parse_nvd(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
     try:
         container = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"nvd feed is not valid json: {exc}") from None
+        raise CveMinerError(f"nvd feed is not valid json: {exc}") from None
     if not isinstance(container, dict):
-        raise FormatError("nvd feed container must be a json object")
+        raise CveMinerError("nvd feed container must be a json object")
     entries = container.get("CVE_Items", container.get("vulnerabilities"))
     if not isinstance(entries, list):
-        raise FormatError("nvd feed container has neither CVE_Items nor vulnerabilities")
+        raise CveMinerError("nvd feed container has neither CVE_Items nor vulnerabilities")
 
     records: list[CveRecord] = []
     rejects: list[RejectEntry] = []
@@ -194,7 +194,7 @@ def parse_records(data: bytes, format: str = "canonical-jsonl") -> tuple[list[Cv
     rejects equals the number of input entries.
     """
     if format not in PARSE_FORMATS:
-        raise FormatError(f"unknown format {format!r}; expected one of {PARSE_FORMATS}")
+        raise CveMinerError(f"unknown format {format!r}; expected one of {PARSE_FORMATS}")
     text = _decode(data)
     if format == "canonical-jsonl":
         return _parse_canonical(text)
@@ -217,7 +217,7 @@ def dump_records(records: list[CveRecord]) -> bytes:
 def filter_by_years(records: list[CveRecord], start: int, end: int) -> list[CveRecord]:
     """Keep records with start <= year <= end, preserving input order."""
     if start > end:
-        raise RangeError(f"year range [{start}, {end}] is empty")
+        raise CveMinerError(f"year range [{start}, {end}] is empty")
     return [r for r in records if start <= r.year <= end]
 
 
@@ -229,19 +229,19 @@ def yearly_counts(records: list[CveRecord]) -> dict[int, int]:
 def load_fixture(data: bytes) -> IdListFixture:
     """Load an id-list fixture: ``{"name": str, "label": 0|1|null, "ids": [...]}``.
 
-    Ids are normalized to ASCII hyphens before validation; a duplicate id
-    raises DuplicateIdError naming the duplicate.
+    Ids are normalized to ASCII hyphens before validation.  A malformed id
+    raises PatternError; a duplicate id or a malformed fixture CveMinerError.
     """
     text = _decode(data)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"fixture is not valid json: {exc}") from None
+        raise CveMinerError(f"fixture is not valid json: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("ids"), list):
-        raise FormatError("fixture must be an object with an 'ids' array")
+        raise CveMinerError("fixture must be an object with an 'ids' array")
     label = obj.get("label")
     if label not in (0, 1, None):
-        raise FormatError(f"fixture label must be 0, 1 or null, got {label!r}")
+        raise CveMinerError(f"fixture label must be 0, 1 or null, got {label!r}")
 
     seen: set[str] = set()
     ids: list[str] = []
@@ -250,7 +250,7 @@ def load_fixture(data: bytes) -> IdListFixture:
         if CVE_ID_RE.match(cve_id) is None:
             raise PatternError(f"id pattern: {raw!r}")
         if cve_id in seen:
-            raise DuplicateIdError(f"duplicate id in fixture: {cve_id}")
+            raise CveMinerError(f"duplicate id in fixture: {cve_id}")
         seen.add(cve_id)
         ids.append(cve_id)
     return IdListFixture(name=str(obj.get("name", "")), ids=tuple(ids), expected_label=label)

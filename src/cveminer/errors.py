@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit: a class only where code catches
+it or reads its fields; every other failure is a ``CveMinerError`` whose
+message says what went wrong."""
 
 from __future__ import annotations
 
@@ -7,29 +9,9 @@ class CveMinerError(Exception):
     """Base class for all toolkit errors."""
 
 
-# --- corpus ---------------------------------------------------------------
-
-class DecodeError(CveMinerError):
-    """Input bytes are not valid UTF-8."""
-
-
-class FormatError(CveMinerError):
-    """Input container cannot be parsed in the requested format."""
-
-
-class DuplicateIdError(CveMinerError):
-    """A fixture lists the same CVE id more than once."""
-
-
 class PatternError(CveMinerError):
     """A CVE id does not match CVE-<4 digits>-<4..7 digits>."""
 
-
-class RangeError(CveMinerError):
-    """A numeric range argument is empty or out of domain."""
-
-
-# --- gateway --------------------------------------------------------------
 
 class ProviderError(CveMinerError):
     """A provider call failed after all retries."""
@@ -40,44 +22,12 @@ class ProviderError(CveMinerError):
         self.body = body
 
 
-class DimensionError(CveMinerError):
-    """An embedding has an unexpected length."""
-
-
-# --- classifier -----------------------------------------------------------
-
 class UnparseableLabel(CveMinerError):
     """Model output contains no recognizable 0/1 label."""
 
     def __init__(self, raw: str):
         super().__init__(f"no binary label in model output: {raw!r}")
         self.raw = raw
-
-
-class MissingPrediction(CveMinerError):
-    """A labeled id has no matching prediction."""
-
-
-class DuplicatePrediction(CveMinerError):
-    """A labeled id has more than one prediction."""
-
-
-# --- vectors --------------------------------------------------------------
-
-class ZeroVectorError(CveMinerError):
-    """Operation undefined for the zero vector."""
-
-
-# --- clustering -----------------------------------------------------------
-
-class KTooLarge(CveMinerError):
-    """Requested more clusters than there are rows."""
-
-
-# --- topics ---------------------------------------------------------------
-
-class PromptError(CveMinerError):
-    """A prompt cannot be built from the given inputs."""
 
 
 class BlockedTermInLabel(CveMinerError):
@@ -87,41 +37,3 @@ class BlockedTermInLabel(CveMinerError):
         super().__init__(f"blocked term {term!r} in label {label!r}")
         self.label = label
         self.term = term
-
-
-# --- projection -----------------------------------------------------------
-
-class PerplexityTooLarge(CveMinerError):
-    """Perplexity must be below (n - 1) / 3."""
-
-
-class DegenerateInput(CveMinerError):
-    """All input rows are identical; affinities are undefined."""
-
-
-# --- reporting ------------------------------------------------------------
-
-class ClusterMismatch(CveMinerError):
-    """Profiles and summaries cover different cluster indices."""
-
-
-class EmptyProfile(CveMinerError):
-    """Operation requires a non-empty keyword profile."""
-
-
-# --- pipeline -------------------------------------------------------------
-
-class EmptyHardwareSet(CveMinerError):
-    """Classification produced no hardware-labeled records."""
-
-
-class MissingDescriptions(CveMinerError):
-    """Fixture ids could not be resolved against the ingested corpus."""
-
-    def __init__(self, ids: list[str]):
-        super().__init__(f"{len(ids)} fixture ids missing from corpus")
-        self.ids = list(ids)
-
-
-class OutputDirLocked(CveMinerError):
-    """Another run holds the output directory lock."""

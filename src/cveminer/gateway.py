@@ -27,9 +27,9 @@ float64 bytes (``"f64"``, ``encode_f64``, which ``vectors`` reuses for its
 artifact), which loads back as a read-only float64 array.
 Lines written before that, holding the vector as a decimal ``"value"``
 list, still load and still count as answered.  A remote reply is checked
-once, in its provider call: chat content that is not a string, or an
-embedding that is not a non-empty, 1-D, all-finite vector, raises
-``ProviderError`` at once, so it is neither retried nor cached.
+in its provider call, and a cache line as it loads: chat content that is not
+a string, or an embedding that is not a non-empty, 1-D, all-finite vector,
+raises ``ProviderError`` (never retried or cached), or skips the line.
 
 The remote calls speak HTTP/1.1 through the standard library's
 ``http.client``, imported by them only, so mock runs never load it.  Each
@@ -65,6 +65,7 @@ import base64
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -113,10 +114,15 @@ class ProviderConfig:
     def __post_init__(self):
         if self.kind not in CHAT_KINDS + EMBED_KINDS:
             raise ValueError(f"unknown provider kind {self.kind!r}")
-        if self.max_parallel < 1:
-            raise ValueError("max_parallel must be >= 1")
-        if not 0 <= self.retry_limit <= 10:
-            raise ValueError("retry_limit must be in [0, 10]")
+        # numbers are checked as given, never converted; type() also rejects a bool
+        if type(self.max_parallel) is not int or self.max_parallel < 1:
+            raise ValueError(f"max_parallel must be an integer >= 1, got {self.max_parallel!r}")
+        if type(self.retry_limit) is not int or not 0 <= self.retry_limit <= 10:
+            raise ValueError(f"retry_limit must be an integer in [0, 10], got {self.retry_limit!r}")
+        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
+        if type(self.temperature) not in (int, float) or not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be a finite number, got {self.temperature!r}")
         if self.kind.startswith("remote-") and not self.endpoint:
             raise ValueError(f"{self.kind} requires an endpoint")
 
@@ -173,6 +179,26 @@ def cache_key(kind: str, model_id: str, text: str) -> str:
     return h.hexdigest()
 
 
+def _vector(raw) -> np.ndarray:
+    """`raw` as a read-only float64 vector; ValueError unless it is non-empty, 1-D and finite."""
+    values = np.asarray(raw)
+    if (values.dtype.kind not in "iuf" or values.ndim != 1 or not values.size
+            or not np.isfinite(values).all()):
+        raise ValueError("not a non-empty, 1-D, all-finite vector")
+    values = values.astype(np.float64, copy=False)
+    values.flags.writeable = False
+    return values
+
+
+def _cached_value(obj: dict):
+    """A cache line's answer, checked as a provider reply is."""
+    if obj["kind"] != "chat":
+        return _vector(decode_f64(obj["f64"]) if "f64" in obj else obj["value"])
+    if not isinstance(obj["value"], str):
+        raise TypeError("a chat answer must be a string")
+    return obj["value"]
+
+
 class ResponseCache:
     """Append-only jsonl store keyed by digest; safe for threaded use.
 
@@ -180,7 +206,9 @@ class ResponseCache:
     U+0085 (written raw by ``ensure_ascii=False``) loads back intact.  A last
     line without its newline is the torn tail of an interrupted append: it is
     ignored, its length is kept in ``torn_bytes`` (0 when the file ends on a
-    whole line), and it is cut off before the next append.  The file is
+    whole line), and it is cut off before the next append.  A line that does
+    not parse or fails ``_cached_value`` is skipped, counted in
+    ``skipped_lines`` and asked for again.  The file is
     opened once, on the first ``put``, for unbuffered appending.  ``put``
     claims its key under the lock, so each distinct key is written once, and
     then writes its whole line with one ``write`` call outside the lock:
@@ -196,18 +224,21 @@ class ResponseCache:
         self._fh = None
         self._truncate_to = None  # end of the last complete line, when a torn tail follows
         self.torn_bytes = 0
+        self.skipped_lines = 0
         if self.path.exists():
             data = self.path.read_bytes()
             complete = data.rfind(b"\n") + 1
             if complete < len(data):
                 self._truncate_to = complete
                 self.torn_bytes = len(data) - complete
-            for line in data[:complete].decode("utf-8").split("\n"):
+            for line in data[:complete].split(b"\n"):
                 if not line.strip():
                     continue
-                obj = json.loads(line)
-                self._entries[obj["key"]] = (decode_f64(obj["f64"]) if "f64" in obj
-                                             else obj["value"])
+                try:
+                    obj = json.loads(line.decode("utf-8"))
+                    self._entries[obj["key"]] = _cached_value(obj)
+                except (ValueError, KeyError, TypeError):  # not JSON, or no valid answer
+                    self.skipped_lines += 1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -218,12 +249,10 @@ class ResponseCache:
 
     def put(self, key: str, kind: str, model_id: str, value) -> None:
         """Store one answer: a string, or a float64 vector as its ``"f64"`` text."""
-        if isinstance(value, np.ndarray):
-            stored = f'"f64": "{encode_f64(value)}"'  # base64 needs no escaping
-        elif isinstance(value, str):
+        if isinstance(value, str):
             stored = f'"value": {_json_str(value)}'
         else:
-            stored = f'"value": {json.dumps(value, ensure_ascii=False)}'
+            stored = f'"f64": "{encode_f64(value)}"'  # base64 needs no escaping
         data = (f'{{"key": {_json_str(key)}, "kind": {_json_str(kind)}, '
                 f'"model": {_json_str(model_id)}, {stored}, '
                 f'"created_at": "{datetime.now(timezone.utc).isoformat()}"}}\n').encode("utf-8")
@@ -513,21 +542,14 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
     def call() -> np.ndarray:
         if config.is_mock:
             _mock_maybe_fail(config.model_id, text)
-            return mock_embed_vector(config.model_id, text)
+            return _vector(mock_embed_vector(config.model_id, text))
         data = _post(config, {"model": config.model_id, "input": text}, _conns)
         try:
-            values = np.array(data["data"][0]["embedding"])
-        except (KeyError, IndexError, TypeError, ValueError):  # absent, or ragged
-            values = None
-        if (values is None or values.dtype.kind not in "iuf" or values.ndim != 1
-                or not values.size or not np.isfinite(values).all()):
+            return _vector(data["data"][0]["embedding"])
+        except (KeyError, IndexError, TypeError, ValueError):  # absent, or not a vector
             raise ProviderError(200, f"malformed embedding response: {json.dumps(data)[:200]}")
-        return values.astype(np.float64, copy=False)
 
-    values = np.asarray(  # an array, or a decimal list from an older cache line
-        _answer(config, "embed", text, cache, call)[0], dtype=np.float64)
-    values.flags.writeable = False
-    return values
+    return _answer(config, "embed", text, cache, call)[0]
 
 
 def run_batch(config: ProviderConfig, inputs: list[str], op: str,

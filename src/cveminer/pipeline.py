@@ -34,9 +34,10 @@ stay on disk.
 The response cache lives at its own configured path (outside the artifact
 tree), so re-runs never re-bill completed provider calls.  It is opened only
 when a stage computes, so a fully cached re-run never loads it, and closed
-when the run ends.  The manifest's ``cache_torn_bytes`` is the length of the
-torn last line the run dropped from it: 0 when the cache ends on a whole
-line or the run never loaded it.  No artifact carries that number.
+when the run ends.  The manifest's ``cache_torn_bytes`` and
+``cache_skipped_lines`` count the torn last line's bytes and the bad lines
+the run dropped from it (see ``gateway.ResponseCache``): 0 when the cache was
+clean or the run never loaded it.  No artifact carries those numbers.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from . import classifier, clustering, corpus, gateway, projection, reporting, to
 from .assets import blocklist as default_blocklist
 from .assets import load_termfile_path
 from .assets import stopwords as default_stopwords
-from .errors import CveMinerError, EmptyHardwareSet, MissingDescriptions, OutputDirLocked
+from .errors import CveMinerError
 
 
 @dataclass
@@ -94,13 +95,23 @@ class PipelineConfig:
     dry_run: bool = False
 
     def __post_init__(self):
+        def reject(name: str, why: str):
+            raise ValueError(f"config key {_DOC_KEYS[name][0]!r}: {why}")
+
         for name in ("r", "m", "restarts", "max_iter", "tsne_iterations", "k"):
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise ValueError(f"config key {_DOC_KEYS[name][0]!r}: must be >= 1, got {value}")
-        if not self.perplexity > 0:
-            raise ValueError(f"config key 'projection.perplexity': must be > 0, "
-                             f"got {self.perplexity}")
+                reject(name, f"must be >= 1, got {value}")
+        for name in ("perplexity", "learning_rate"):
+            if not getattr(self, name) > 0:  # NaN included
+                reject(name, f"must be > 0, got {getattr(self, name)}")
+        if self.k is None and not 2 <= self.elbow_range[0] <= self.elbow_range[1] - 2:
+            reject("elbow_range", f"need 2 <= k_min and k_max - k_min >= 2, got {list(self.elbow_range)}")
+        for name, allowed in (("metric", clustering.METRICS), ("corpus_format", corpus.PARSE_FORMATS)):
+            if getattr(self, name) not in allowed:
+                reject(name, f"expected one of {allowed}, got {getattr(self, name)!r}")
+        if self.years is not None and self.years[0] > self.years[1]:
+            reject("years", f"year range [{self.years[0]}, {self.years[1]}] is empty")
         if not self.corpus_paths:
             raise ValueError("at least one corpus path is required")
 
@@ -121,6 +132,7 @@ class PipelineConfig:
                     kwargs[name] = node[key] if coerce is None else coerce(node[key])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"config key {dotted!r}: {exc}") from None
+        _reject_unknown_keys(doc, "")
         return cls(**kwargs)
 
     def identity(self) -> dict:
@@ -147,34 +159,52 @@ _bool = _expect(lambda v: isinstance(v, bool), "true or false")
 _pair = _expect(lambda v: isinstance(v, list) and len(v) == 2, "a two-element list")
 
 
+def _int(v) -> int:
+    """`int(v)`, but a fraction or a bool is rejected instead of truncated."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 # field -> (its dotted key in a config document, the coercion of a present
 # value, None for none); a key the document leaves out keeps the field's default
 _DOC_KEYS = {
     "corpus_paths": ("corpus.paths", _expect(
         lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v), "a list of strings")),
     "corpus_format": ("corpus.format", None),
-    "years": ("corpus.years", lambda v: None if v is None else tuple(map(int, _pair(v)))),
-    "seed": ("seed", int),
+    "years": ("corpus.years", lambda v: None if v is None else tuple(map(_int, _pair(v)))),
+    "seed": ("seed", _int),
     "chat_provider": ("providers.chat", lambda v: gateway.ProviderConfig(**v)),
     "embed_provider": ("providers.embed", lambda v: gateway.ProviderConfig(**v)),
     "template_path": ("classifier.template_path", None),
-    "k": ("clustering.k", lambda v: None if v is None else int(v)),
-    "elbow_range": ("clustering.elbow_range", lambda v: tuple(map(int, _pair(v)))),
-    "restarts": ("clustering.restarts", int),
-    "max_iter": ("clustering.max_iter", int),
+    "k": ("clustering.k", lambda v: None if v is None else _int(v)),
+    "elbow_range": ("clustering.elbow_range", lambda v: tuple(map(_int, _pair(v)))),
+    "restarts": ("clustering.restarts", _int),
+    "max_iter": ("clustering.max_iter", _int),
     "tol": ("clustering.tol", float),
     "normalize": ("clustering.normalize", _bool),
     "metric": ("clustering.metric", None),
-    "r": ("topics.r", int),
+    "r": ("topics.r", _int),
     "per_document": ("topics.per_document", _bool),
     "stopwords_path": ("topics.stopwords_path", None),
     "blocklist_path": ("topics.blocklist_path", None),
     "perplexity": ("projection.perplexity", float),
-    "tsne_iterations": ("projection.iterations", int),
+    "tsne_iterations": ("projection.iterations", _int),
     "learning_rate": ("projection.learning_rate", float),
-    "m": ("report.m", int),
+    "m": ("report.m", _int),
     "dry_run": ("dry_run", _bool),
 }
+_KNOWN_KEYS = {dotted for dotted, _ in _DOC_KEYS.values()} | {"output_dir", "cache_path"}
+
+
+def _reject_unknown_keys(node: dict, prefix: str) -> None:
+    """Reject a key that names no setting (`ProviderConfig` checks its own)."""
+    for key, value in node.items():
+        dotted = prefix + key
+        if isinstance(value, dict) and any(k.startswith(dotted + ".") for k in _KNOWN_KEYS):
+            _reject_unknown_keys(value, dotted + ".")  # a section
+        elif dotted not in _KNOWN_KEYS:
+            raise ValueError(f"config key {dotted!r}: names no setting")
 
 
 def _sha256(data: bytes) -> str:
@@ -215,7 +245,7 @@ class _Lock:
                 if os.path.samestat(os.fstat(fd), os.stat(self.path)):
                     self._fd, fd = fd, None
             except BlockingIOError:
-                raise OutputDirLocked(
+                raise CveMinerError(
                     f"{self.path} is locked; another run owns this directory") from None
             except FileNotFoundError:
                 pass  # unlinked by the run that held it; try again on a fresh file
@@ -270,7 +300,7 @@ def _effective_perplexity(configured: float, n: int) -> float:
 
 
 def _write_manifest(config: PipelineConfig, stages: list[dict], planned: dict | None = None,
-                    cache_torn_bytes: int | None = None) -> dict:
+                    cache_health: dict | None = None) -> dict:
     doc = {
         "run_id": _digest_params(config.identity())[:16],
         "seed": config.seed,
@@ -280,8 +310,7 @@ def _write_manifest(config: PipelineConfig, stages: list[dict], planned: dict | 
     }
     if planned is not None:
         doc["planned"] = planned
-    if cache_torn_bytes is not None:
-        doc["cache_torn_bytes"] = cache_torn_bytes
+    doc.update(cache_health or {})
     _write(Path(config.output_dir) / "manifest.json", _json_bytes(doc))
     return doc
 
@@ -339,8 +368,10 @@ class _Run:
     def cache(self) -> gateway.ResponseCache:
         return gateway.ResponseCache(self.config.cache_path)
 
-    def cache_torn_bytes(self) -> int:
-        return self.cache.torn_bytes if "cache" in vars(self) else 0
+    def cache_health(self) -> dict:
+        loaded = "cache" in vars(self)
+        return {"cache_torn_bytes": self.cache.torn_bytes if loaded else 0,
+                "cache_skipped_lines": self.cache.skipped_lines if loaded else 0}
 
     @cached_property
     def hwsw_template(self) -> classifier.PromptTemplate:
@@ -418,7 +449,7 @@ def _classify(run: _Run) -> dict:
               _jsonl_bytes([{"id": i, "reason": why} for i, why in failures]), failures)
     run.write("hardware.jsonl", corpus.dump_records(hardware), hardware)
     if not hardware:
-        raise EmptyHardwareSet("no record was classified as hardware")
+        raise CveMinerError("no record was classified as hardware")
     return {"predicted": len(predictions), "failures": len(failures), "hardware": len(hardware)}
 
 
@@ -631,7 +662,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
                 run.counts[stage.name] = record["counts"]
                 run.digests.update(record["outputs"])
                 if record["status"] == "computed":
-                    _write_manifest(config, run.stages, cache_torn_bytes=run.cache_torn_bytes())
+                    _write_manifest(config, run.stages, cache_health=run.cache_health())
             if until is not None:
                 # later stages' files stay on disk, so keep their records: the
                 # next run can then reuse them, or delete what they no longer write
@@ -640,7 +671,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
         finally:
             if "cache" in vars(run):
                 run.cache.close()
-            doc = _write_manifest(config, run.stages, cache_torn_bytes=run.cache_torn_bytes())
+            doc = _write_manifest(config, run.stages, cache_health=run.cache_health())
         return doc
 
 
@@ -648,7 +679,7 @@ def run_validate(config: PipelineConfig, fixture_paths: list[str]) -> classifier
     """Classify exactly the fixture records and score against their labels.
 
     Fixture ids are joined against the ingested corpus by id (no year
-    filtering); unresolvable ids raise MissingDescriptions listing them.
+    filtering); unresolvable ids raise CveMinerError naming up to 10 of them.
     Emits the per-model summary table, its CSV mirror, and the predictions.
     """
     outdir = Path(config.output_dir)
@@ -668,7 +699,8 @@ def run_validate(config: PipelineConfig, fixture_paths: list[str]) -> classifier
                 else:
                     labeled.append(corpus.LabeledCve(record=record, label=fixture.expected_label))
         if missing:
-            raise MissingDescriptions(missing)
+            raise CveMinerError(f"{len(missing)} fixture ids missing from corpus: "
+                                f"{', '.join(missing[:10])}")
 
         cache = gateway.ResponseCache(config.cache_path)
         template = classifier.load_template("hwsw", config.template_path)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, PerplexityTooLarge, RangeError
+from .errors import CveMinerError
 from .vectors import EmbeddingMatrix
 
 ENTROPY_TOL = 1e-5
@@ -111,7 +111,7 @@ def conditional_affinities(rows: np.ndarray, perplexity: float) -> np.ndarray:
     """
     d2 = _sq_distances(rows)
     if float(d2.max()) == 0.0:
-        raise DegenerateInput("all rows are identical")
+        raise CveMinerError("all rows are identical")
     n = rows.shape[0]
     off = ~np.eye(n, dtype=bool)
     d = d2[off].reshape(n, n - 1)  # each row's distances to the other points
@@ -203,7 +203,7 @@ def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 
     if params.perplexity <= 0:
         raise ValueError("perplexity must be positive")
     if params.perplexity >= (n - 1) / 3.0:
-        raise PerplexityTooLarge(f"perplexity {params.perplexity} >= (n-1)/3 = {(n - 1) / 3.0:.3f}")
+        raise CveMinerError(f"perplexity {params.perplexity} >= (n-1)/3 = {(n - 1) / 3.0:.3f}")
 
     p_joint = joint_affinities(conditional_affinities(matrix.rows, params.perplexity))
     p_joint = p_joint / p_joint.sum()
@@ -254,9 +254,9 @@ def trustworthiness(matrix: EmbeddingMatrix, result: ProjectionResult, k: int) -
         raise ValueError("projection ids do not match matrix ids")
     n = len(matrix)
     if not 1 <= k < n:
-        raise RangeError(f"k must be in [1, {n - 1}]")
+        raise CveMinerError(f"k must be in [1, {n - 1}]")
     if 2 * n - 3 * k - 1 <= 0:
-        raise RangeError(f"k={k} outside formula domain for n={n}")
+        raise CveMinerError(f"k={k} outside formula domain for n={n}")
 
     x, y = result.coords[:, 0], result.coords[:, 1]
     dx, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)

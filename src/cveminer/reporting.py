@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .classifier import ValidationReport
-from .errors import ClusterMismatch, EmptyProfile
+from .errors import CveMinerError
 from .topics import NgramProfile
 
 
@@ -31,7 +31,7 @@ def topic_table(profiles: list[NgramProfile], labels: dict[int, str]) -> str:
     """Markdown table: one row per cluster with keywords and topic label."""
     by_profile = {p.cluster: p for p in profiles}
     if set(by_profile) != set(labels):
-        raise ClusterMismatch(
+        raise CveMinerError(
             f"profiles cover {sorted(by_profile)}, labels cover {sorted(labels)}")
     lines = ["| Topic | Top keywords | Summary |", "| --- | --- | --- |"]
     for cluster in sorted(by_profile):
@@ -56,7 +56,7 @@ def representatives_table(reps: dict[int, list[str]]) -> str:
 def term_weights(profile: NgramProfile) -> str:
     """JSON list of {term, weight} with weights scaled to the top count."""
     if not profile.entries:
-        raise EmptyProfile(f"cluster {profile.cluster} has no terms")
+        raise CveMinerError(f"cluster {profile.cluster} has no terms")
     top = profile.entries[0].count
     doc = [{"term": e.ngram, "weight": e.count / top} for e in profile.entries]
     return json.dumps(doc, indent=2) + "\n"
@@ -121,7 +121,7 @@ def scatter_svg(ids: list[str], coords: np.ndarray, clusters: dict[str, int],
 def wordcloud_grid_svg(profile: NgramProfile) -> bytes:
     """Plain deterministic grid rendering of term weights (no layout art)."""
     if not profile.entries:
-        raise EmptyProfile(f"cluster {profile.cluster} has no terms")
+        raise CveMinerError(f"cluster {profile.cluster} has no terms")
     top = profile.entries[0].count
     width, row_height = 640, 34
     parts = [

@@ -19,7 +19,7 @@ from . import gateway
 from .assets import blocklist as default_blocklist
 from .assets import stopwords as default_stopwords
 from .classifier import PromptTemplate
-from .errors import BlockedTermInLabel, PromptError
+from .errors import BlockedTermInLabel, CveMinerError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -118,7 +118,7 @@ def build_sum_prompt(template: PromptTemplate, profile: NgramProfile) -> str:
     if template.name != "summarize":
         raise ValueError(f"expected the summarize template, got {template.name!r}")
     if not profile.entries:
-        raise PromptError(f"cluster {profile.cluster} has no keywords to summarize")
+        raise CveMinerError(f"cluster {profile.cluster} has no keywords to summarize")
     keywords = ", ".join(profile.keywords)
     return f"{template.system_text}\nKeywords: {keywords}"
 
@@ -138,7 +138,7 @@ def summarize_cluster(config: gateway.ProviderConfig, template: PromptTemplate,
     result = gateway.complete(config, prompt, cache=cache)
     label = next((line.strip() for line in result.text.splitlines() if line.strip()), "")
     if not label:
-        raise PromptError(f"empty label for cluster {profile.cluster}")
+        raise CveMinerError(f"empty label for cluster {profile.cluster}")
     for tok in _TOKEN_RE.findall(label.lower()):
         if tok in blocked:
             raise BlockedTermInLabel(label, tok)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gateway
 from .corpus import CveRecord
-from .errors import DimensionError, ZeroVectorError
+from .errors import CveMinerError
 
 
 @dataclass
@@ -32,7 +32,7 @@ class EmbeddingMatrix:
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2 or self.rows.shape != (len(self.ids), self.dim):
-            raise DimensionError(
+            raise CveMinerError(
                 f"matrix shape {self.rows.shape} does not match {len(self.ids)} ids x dim {self.dim}"
             )
         if len(set(self.ids)) != len(self.ids):
@@ -48,7 +48,7 @@ def normalize_matrix(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     """Return a copy with every row scaled to unit norm."""
     norms = np.sqrt(np.einsum("ij,ij->i", matrix.rows, matrix.rows))
     if np.any(norms == 0.0):
-        raise ZeroVectorError("matrix contains a zero row")
+        raise CveMinerError("matrix contains a zero row")
     return EmbeddingMatrix(
         ids=list(matrix.ids),
         rows=matrix.rows / norms[:, None],
@@ -87,7 +87,7 @@ def load_matrix(data: bytes) -> EmbeddingMatrix:
         obj = json.loads(line)
         vec = gateway.decode_f64(obj["f64"])
         if len(vec) != dim:
-            raise DimensionError(f"row {obj.get('id')} has {len(vec)} values, expected {dim}")
+            raise CveMinerError(f"row {obj.get('id')} has {len(vec)} values, expected {dim}")
         ids.append(obj["id"])
         rows.append(vec)
     return EmbeddingMatrix(
@@ -130,14 +130,6 @@ def embed_corpus(config: gateway.ProviderConfig, records: list[CveRecord],
     dim = len(vectors[0])
     for record, vec in zip(records, vectors):
         if len(vec) != dim:
-            raise DimensionError(f"row {record.id} has dim {len(vec)}, expected {dim}")
-    rows = np.vstack(vectors)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        # a provider reply is checked before it is cached, so only an older cache line gets here
-        record = records[int(np.argmin(finite))]
-        key = gateway.cache_key("embed", config.model_id, record.description)
-        raise ValueError(f"record {record.id}: the embedding cached under key {key} "
-                         "holds non-finite values")
-    return EmbeddingMatrix(ids=[r.id for r in records], rows=rows, dim=dim,
+            raise CveMinerError(f"row {record.id} has dim {len(vec)}, expected {dim}")
+    return EmbeddingMatrix(ids=[r.id for r in records], rows=np.vstack(vectors), dim=dim,
                            model_id=config.model_id)

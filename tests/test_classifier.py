@@ -8,8 +8,7 @@ from cveminer import classifier, corpus, gateway
 from cveminer.classifier import (Prediction, ValidationReport, build_hwsw_prompt,
                                  classify_corpus, evaluate, hardware_subset,
                                  load_template, parse_label)
-from cveminer.errors import (DuplicatePrediction, MissingPrediction,
-                             UnparseableLabel)
+from cveminer.errors import CveMinerError, UnparseableLabel
 
 
 @pytest.fixture
@@ -173,9 +172,9 @@ def test_evaluate_permutation_invariant():
 def test_evaluate_missing_and_duplicate():
     labeled = _mk_labeled(2, 0)
     preds = _mk_predictions(labeled)
-    with pytest.raises(MissingPrediction):
+    with pytest.raises(CveMinerError, match="no prediction for CVE-"):
         evaluate(preds[:1], labeled)
-    with pytest.raises(DuplicatePrediction):
+    with pytest.raises(CveMinerError, match="more than one prediction for CVE-"):
         evaluate(preds + preds[:1], labeled)
 
 

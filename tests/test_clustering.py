@@ -6,7 +6,7 @@ from matrices import blob_matrix, label_purity, random_matrix
 from cveminer.clustering import (ClusterModel, _canonical, _repair_empty, choose_elbow,
                                  elbow_select, fit_best_of, kmeanspp_init, lloyd,
                                  representatives)
-from cveminer.errors import KTooLarge, RangeError
+from cveminer.errors import CveMinerError
 from cveminer.vectors import EmbeddingMatrix
 
 
@@ -40,7 +40,7 @@ def test_kmeanspp_k1_is_some_row():
 
 
 def test_kmeanspp_k_too_large():
-    with pytest.raises(KTooLarge):
+    with pytest.raises(CveMinerError, match="k=5 exceeds row count 4"):
         kmeanspp_init(random_matrix(3, 4, 2), 5, seed=0)
 
 
@@ -342,17 +342,17 @@ def test_choose_elbow_linear_curve_tie_break():
 
 
 def test_choose_elbow_needs_three_points():
-    with pytest.raises(RangeError):
+    with pytest.raises(CveMinerError, match="at least 3 matched"):
         choose_elbow([2, 3], [5.0, 4.0])
 
 
 def test_elbow_select_range_validation():
     m = random_matrix(25, 30, 4)
-    with pytest.raises(RangeError):
+    with pytest.raises(CveMinerError, match=r"need 2 <= k_min < k_max <= 29, got \[5, 5\]"):
         elbow_select(m, 5, 5, seed=0)
-    with pytest.raises(RangeError):
+    with pytest.raises(CveMinerError, match="at least 3 k values"):
         elbow_select(m, 2, 3, seed=0)
-    with pytest.raises(RangeError):
+    with pytest.raises(CveMinerError, match=r"need 2 <= k_min < k_max <= 29, got \[2, 30\]"):
         elbow_select(m, 2, 30, seed=0)
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from cveminer import corpus
 from cveminer.assets import fixture_bytes
-from cveminer.errors import (DecodeError, DuplicateIdError, FormatError,
-                             PatternError, RangeError)
+from cveminer.errors import CveMinerError, PatternError
 
 
 def test_parse_single_canonical_line():
@@ -76,12 +75,12 @@ def test_parse_canonical_keeps_raw_line_break_inside_description(separator):
 
 
 def test_parse_not_utf8():
-    with pytest.raises(DecodeError):
+    with pytest.raises(CveMinerError, match="codec can't decode"):
         corpus.parse_records(b"\xff\xfe\x00bad")
 
 
 def test_unknown_format():
-    with pytest.raises(FormatError):
+    with pytest.raises(CveMinerError, match="unknown format 'csv'"):
         corpus.parse_records(b"{}", format="csv")
 
 
@@ -113,9 +112,9 @@ def test_nvd_feed_v20():
 
 
 def test_nvd_feed_bad_container():
-    with pytest.raises(FormatError):
+    with pytest.raises(CveMinerError, match="must be a json object"):
         corpus.parse_records(b"[]", format="nvd-feed")
-    with pytest.raises(FormatError):
+    with pytest.raises(CveMinerError, match="neither CVE_Items nor vulnerabilities"):
         corpus.parse_records(b'{"neither": []}', format="nvd-feed")
 
 
@@ -142,7 +141,7 @@ def test_filter_identity_and_idempotence():
 
 
 def test_filter_empty_range():
-    with pytest.raises(RangeError):
+    with pytest.raises(CveMinerError, match=r"year range \[2024, 2021\] is empty"):
         corpus.filter_by_years([], 2024, 2021)
 
 
@@ -188,7 +187,7 @@ def test_bundled_mihw_fixture():
 def test_fixture_duplicate_id():
     data = json.dumps({"name": "d", "label": 1,
                        "ids": ["CVE-2021-0001", "CVE-2021-0001"]}).encode()
-    with pytest.raises(DuplicateIdError, match="CVE-2021-0001"):
+    with pytest.raises(CveMinerError, match="duplicate id in fixture: CVE-2021-0001"):
         corpus.load_fixture(data)
 
 
@@ -200,7 +199,7 @@ def test_fixture_bad_pattern():
 
 def test_fixture_bad_label():
     data = json.dumps({"name": "d", "label": 2, "ids": []}).encode()
-    with pytest.raises(FormatError):
+    with pytest.raises(CveMinerError, match="label must be 0, 1 or null, got 2"):
         corpus.load_fixture(data)
 
 

@@ -31,6 +31,15 @@ def test_provider_config_validation():
         ProviderConfig(kind="mock-chat", model_id="m", retry_limit=11)
     with pytest.raises(ValueError):
         ProviderConfig(kind="remote-chat", model_id="m")  # endpoint required
+    # number fields are checked as given, never converted
+    for field, value in [("max_parallel", 2.5), ("max_parallel", True), ("retry_limit", 1.5),
+                         ("retry_limit", "3"), ("timeout", -1), ("timeout", 0),
+                         ("timeout", float("inf")), ("timeout", True), ("temperature", "hot"),
+                         ("temperature", float("nan"))]:
+        with pytest.raises(ValueError, match=field):
+            ProviderConfig(kind="mock-chat", model_id="m", **{field: value})
+    kept = ProviderConfig(kind="mock-chat", model_id="m", timeout=30, temperature=1)
+    assert type(kept.timeout) is int and type(kept.temperature) is int
 
 
 def test_cache_key_stable_and_distinct():
@@ -51,9 +60,48 @@ def test_response_cache_round_trip(tmp_path):
     cache.close()
     reloaded = ResponseCache(path)
     assert reloaded.get("k1") == "hello"
-    assert reloaded.get("k2") == [1.0, 2.5]
+    vector = reloaded.get("k2")  # a decimal list loads as a read-only float64 array
+    assert vector.dtype == np.float64 and not vector.flags.writeable
+    assert vector.tolist() == [1.0, 2.5]
     assert reloaded.get("missing") is None
-    assert len(reloaded) == 2
+    assert len(reloaded) == 2 and reloaded.skipped_lines == 0
+
+
+@pytest.mark.parametrize("bad", [
+    b'{"key": "k2", "kind": "chat", "model": "m", "value": "cut',  # not JSON
+    b'\xff{"key": "k2", "kind": "chat", "model": "m", "value": "x"}',  # not UTF-8
+    b'["k2", "chat"]',
+    b'{"kind": "chat", "model": "m", "value": "no key"}',
+    b'{"key": "k2", "kind": "chat", "model": "m", "value": null}',
+    b'{"key": "k2", "kind": "chat", "model": "m", "value": ["1"]}',
+    b'{"key": "k2", "kind": "embed", "model": "m", "value": []}',
+    b'{"key": "k2", "kind": "embed", "model": "m", "value": [[1.0, 2.0]]}',
+    b'{"key": "k2", "kind": "embed", "model": "m", "value": [1.0, NaN]}',
+    b'{"key": "k2", "kind": "embed", "model": "m", "value": [true, false]}',
+    b'{"key": "k2", "kind": "embed", "model": "m", "value": [1.0, [2.0]]}',
+    b'{"key": "k2", "kind": "embed", "model": "m", "f64": "not base64!"}',
+    b'{"key": "k2", "kind": "embed", "model": "m", "f64": "AAAAAAAA+H8="}',  # NaN
+    b'{"key": "k2", "kind": "image", "model": "m", "value": "x"}',
+], ids=range(14))
+def test_response_cache_skips_bad_middle_line(tmp_path, bad):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k1", "chat", "m", "one")
+    cache.close()
+    with open(path, "ab") as fh:  # a bad line between two good ones
+        fh.write(bad + b"\n")
+    cache = ResponseCache(path)
+    cache.put("k3", "embed", "m", np.array([0.5, 1.5]))
+    cache.close()
+
+    reloaded = ResponseCache(path)
+    assert reloaded.skipped_lines == 1 and reloaded.torn_bytes == 0
+    assert reloaded.get("k1") == "one" and reloaded.get("k3").tolist() == [0.5, 1.5]
+    assert reloaded.get("k2") is None and len(reloaded) == 2
+    reloaded.put("k2", "chat", "m", "asked again")  # appended after the bad line
+    reloaded.close()
+    final = ResponseCache(path)
+    assert final.get("k2") == "asked again" and final.skipped_lines == 1
 
 
 def test_response_cache_stores_vectors_as_base64_f64(tmp_path):

@@ -12,8 +12,7 @@ import cveminer
 from cveminer import gateway, pipeline
 from cveminer.assets import fixture_bytes
 from cveminer.cli import main as cli_main
-from cveminer.errors import (EmptyHardwareSet, MissingDescriptions,
-                             OutputDirLocked)
+from cveminer.errors import CveMinerError
 from cveminer.pipeline import STAGES, PipelineConfig, run_pipeline, run_validate
 
 
@@ -189,6 +188,31 @@ def test_pipeline_manifest_reports_torn_cache_tail(tmp_path):
     assert tree_bytes(tmp_path / "rerun") == tree_bytes(tmp_path / "out")
 
 
+def test_pipeline_reasks_corrupt_cache_lines(tmp_path, monkeypatch):
+    clean = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    assert clean["cache_skipped_lines"] == 0
+    path = tmp_path / "cache" / "responses.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    chat = next(i for i, line in enumerate(lines) if b'"kind": "chat"' in line)
+    lines[chat] = lines[chat][:40]  # cut mid-line, then appended to
+    embed = next(i for i, line in enumerate(lines) if b'"kind": "embed"' in line)
+    doc = json.loads(lines[embed])
+    doc["value"] = [*gateway.decode_f64(doc.pop("f64"))[:-1], float("inf")]
+    lines[embed] = json.dumps(doc).encode("utf-8")  # an older decimal line, not finite
+    path.write_bytes(b"\n".join(lines))
+    calls = []
+    for name in ("mock_chat_reply", "mock_embed_vector"):
+        real = getattr(gateway, name)
+        monkeypatch.setattr(gateway, name, lambda model_id, text, real=real:
+                            calls.append(model_id) or real(model_id, text))
+    for rerun in ("rerun", "rerun2"):
+        config = write_config(tmp_path, output_dir=str(tmp_path / rerun))
+        manifest = run_pipeline(PipelineConfig.from_dict(config))
+        assert manifest["cache_skipped_lines"] == 2
+        assert sorted(calls) == ["mock-embed-64", "mock-hwsw"]  # asked once, then cached
+        assert tree_bytes(tmp_path / rerun) == tree_bytes(tmp_path / "out")
+
+
 def test_pipeline_cached_rerun_never_opens_response_cache(tmp_path, monkeypatch):
     config = PipelineConfig.from_dict(write_config(tmp_path))
     run_pipeline(config)
@@ -302,7 +326,7 @@ def test_pipeline_empty_hardware_set(tmp_path):
     corpus_path.write_text("\n".join(lines) + "\n")
     doc = write_config(tmp_path)
     doc["corpus"]["paths"] = [str(corpus_path)]
-    with pytest.raises(EmptyHardwareSet):
+    with pytest.raises(CveMinerError, match="no record was classified as hardware"):
         run_pipeline(PipelineConfig.from_dict(doc))
     # completed stages are still recorded in the manifest
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -355,7 +379,7 @@ def test_pipeline_dry_run_respects_the_output_dir_lock(tmp_path):
     outdir.mkdir()
     with open(outdir / ".lock", "w") as holder:  # a live run's lock
         fcntl.flock(holder, fcntl.LOCK_EX)
-        with pytest.raises(OutputDirLocked):
+        with pytest.raises(CveMinerError, match="another run owns this directory"):
             run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, dry_run=True)))
     assert not (outdir / "manifest.json").exists()
 
@@ -449,7 +473,7 @@ def test_pipeline_output_dir_locked(tmp_path):
     outdir.mkdir()
     with open(outdir / ".lock", "w") as holder:  # a live run's lock
         fcntl.flock(holder, fcntl.LOCK_EX)
-        with pytest.raises(OutputDirLocked):
+        with pytest.raises(CveMinerError, match="another run owns this directory"):
             run_pipeline(PipelineConfig.from_dict(doc))
     assert (outdir / ".lock").exists() and not (outdir / "manifest.json").exists()
 
@@ -465,7 +489,7 @@ def test_pipeline_runs_after_the_lock_holder_is_killed(tmp_path):
                              stdout=subprocess.PIPE, text=True)
     try:
         assert child.stdout.readline().strip() == "locked"
-        with pytest.raises(OutputDirLocked):
+        with pytest.raises(CveMinerError, match="another run owns this directory"):
             run_pipeline(PipelineConfig.from_dict(doc))
     finally:
         child.kill()  # SIGKILL: the child cannot clean up after itself
@@ -491,7 +515,7 @@ def test_lock_taken_on_a_file_unlinked_meanwhile_is_retaken(tmp_path, monkeypatc
     monkeypatch.setattr(pipeline.fcntl, "flock", flock)
     with pipeline._Lock(tmp_path) as lock:
         assert raced and os.path.samestat(os.fstat(lock._fd), os.stat(tmp_path / ".lock"))
-        with pytest.raises(OutputDirLocked):
+        with pytest.raises(CveMinerError, match="another run owns this directory"):
             pipeline._Lock(tmp_path).__enter__()
     assert not (tmp_path / ".lock").exists()
 
@@ -534,7 +558,7 @@ def test_validate_respects_the_output_dir_lock(tmp_path):
     outdir.mkdir()
     with open(outdir / ".lock", "w") as holder:  # a live run's lock
         fcntl.flock(holder, fcntl.LOCK_EX)
-        with pytest.raises(OutputDirLocked):
+        with pytest.raises(CveMinerError, match="another run owns this directory"):
             run_validate(PipelineConfig.from_dict(doc), [str(hw), str(sw)])
     assert [p.name for p in outdir.iterdir()] == [".lock"]
     assert not Path(doc["cache_path"]).exists()  # nothing was billed
@@ -548,9 +572,9 @@ def test_validate_missing_descriptions(tmp_path):
     missing_path.write_text(json.dumps(fixture))
     doc = write_config(tmp_path)
     doc["corpus"]["paths"] = [str(corpus_path)]
-    with pytest.raises(MissingDescriptions) as err:
+    ids = ", ".join(fixture["ids"])
+    with pytest.raises(CveMinerError, match=f"^10 fixture ids missing from corpus: {ids}$"):
         run_validate(PipelineConfig.from_dict(doc), [str(missing_path)])
-    assert len(err.value.ids) == 10
 
 
 def test_validate_requires_labeled_fixture(tmp_path):
@@ -683,13 +707,39 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
             ({"projection.perplexity": 0}, [], "projection.perplexity"),
             ({}, ["--projection.perplexity=NaN"], "projection.perplexity"),
             ({"topics.r": 0}, [], "topics.r"),
-            ({"report.m": 0}, [], "report.m")]:
+            ({"report.m": 0}, [], "report.m"),
+            ({}, ["--projection.learning_rate=NaN"], "projection.learning_rate"),
+            ({"projection.learning_rate": -5}, [], "projection.learning_rate"),
+            ({"clustering.elbow_range": [5, 2]}, [], "clustering.elbow_range"),
+            ({"clustering.elbow_range": [0, 3]}, [], "clustering.elbow_range"),
+            ({"clustering.elbow_range": [2, 3]}, [], "clustering.elbow_range"),
+            ({"clustering.metric": "euclid"}, [], "clustering.metric"),
+            ({"corpus.format": "csv"}, [], "corpus.format"),
+            ({"corpus.years": [2024, 2021]}, [], "corpus.years"),
+            # integers are read as written: no truncated fractions, no booleans
+            ({"topics.r": 1.5}, [], "topics.r"),
+            ({}, ["--seed=1.5"], "seed"),
+            ({"clustering.k": True}, [], "clustering.k"),
+            ({"corpus.years": [2021, 2024.5]}, [], "corpus.years"),
+            # a key that names no setting
+            ({}, ["--clustering.K=3"], "clustering.K"),
+            ({"colour": "red"}, [], "colour"),
+            ({}, ["--providers.extra.kind=mock-chat"], "providers.extra"),
+            # provider number fields
+            ({"providers.chat.max_parallel": 2.5}, [], "providers.chat"),
+            ({"providers.chat.max_parallel": True}, [], "providers.chat"),
+            ({"providers.embed.retry_limit": 1.5}, [], "providers.embed"),
+            ({"providers.chat.timeout": -1}, [], "providers.chat"),
+            ({"providers.chat.temperature": "hot"}, [], "providers.chat")]:
         capsys.readouterr()
         assert cli_main(["pipeline", "--config", str(_config_file(tmp_path, **overrides)),
                          *extras]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
     assert PipelineConfig.from_dict(write_config(tmp_path, **{"clustering.k": "3"})).k == 3
+    # the elbow range is checked only when the elbow chooses K
+    assert PipelineConfig.from_dict(write_config(
+        tmp_path, **{"clustering.k": 3.0, "clustering.elbow_range": [5, 2]})).k == 3
 
 
 def test_cli_exit_code_data_error(tmp_path):

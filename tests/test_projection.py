@@ -10,7 +10,7 @@ from scipy.spatial.distance import cdist
 import cveminer
 from matrices import blob_matrix, random_matrix
 from cveminer import projection
-from cveminer.errors import DegenerateInput, PerplexityTooLarge, RangeError
+from cveminer.errors import CveMinerError
 from cveminer.projection import (ENTROPY_TOL, EXAGGERATION_ITERS, MAX_BISECTIONS,
                                  ProjectionResult, TsneParams, conditional_affinities,
                                  joint_affinities, trustworthiness, tsne)
@@ -139,7 +139,7 @@ def test_tsne_small_n_boundary():
 def test_tsne_preconditions():
     with pytest.raises(ValueError):
         tsne(random_matrix(4, 4, 3))
-    with pytest.raises(PerplexityTooLarge):
+    with pytest.raises(CveMinerError, match=r"perplexity 3.0 >= \(n-1\)/3"):
         tsne(random_matrix(5, 10, 3), TsneParams(perplexity=3.0))
     with pytest.raises(ValueError):
         tsne(random_matrix(5, 10, 3), TsneParams(perplexity=0.0))
@@ -151,7 +151,7 @@ def test_tsne_degenerate_input():
     rows = np.ones((8, 4))
     m = EmbeddingMatrix(ids=[f"CVE-2021-{i+1000}" for i in range(8)], rows=rows,
                         dim=4, model_id="t")
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(CveMinerError, match="all rows are identical"):
         tsne(m, small_params(perplexity=2.0))
 
 
@@ -290,11 +290,11 @@ def test_trustworthiness_domain_errors():
     m = random_matrix(14, 20, 4)
     result = ProjectionResult(ids=list(m.ids), coords=m.rows[:, :2].copy(),
                               params=TsneParams(), seed=0, final_kl=0.0)
-    with pytest.raises(RangeError):
+    with pytest.raises(CveMinerError, match="k=19 outside formula domain for n=20"):
         trustworthiness(m, result, k=19)  # k = n - 1 is outside the formula domain
-    with pytest.raises(RangeError):
+    with pytest.raises(CveMinerError, match=r"k must be in \[1, 19\]"):
         trustworthiness(m, result, k=0)
-    with pytest.raises(RangeError):
+    with pytest.raises(CveMinerError, match=r"k must be in \[1, 19\]"):
         trustworthiness(m, result, k=20)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cveminer.classifier import ValidationReport
-from cveminer.errors import ClusterMismatch, EmptyProfile
+from cveminer.errors import CveMinerError
 from cveminer.reporting import (growth_csv, representatives_table, review_export,
                                 scatter_svg, term_weights, topic_table,
                                 validation_summary, wordcloud_grid_svg)
@@ -39,7 +39,7 @@ def test_topic_table_empty_and_cardinality():
 
 
 def test_topic_table_mismatch():
-    with pytest.raises(ClusterMismatch):
+    with pytest.raises(CveMinerError, match=r"profiles cover \[0\], labels cover \[1\]"):
         topic_table([profile_from(["a"], cluster=0)], {1: "l"})
 
 
@@ -71,7 +71,7 @@ def test_term_weights_normalization():
 def test_term_weights_single_and_empty():
     single = NgramProfile(cluster=0, r=1, entries=[NgramEntry("only", 1, 7)])
     assert json.loads(term_weights(single)) == [{"term": "only", "weight": 1.0}]
-    with pytest.raises(EmptyProfile):
+    with pytest.raises(CveMinerError, match="cluster 0 has no terms"):
         term_weights(NgramProfile(cluster=0, r=1, entries=[]))
 
 
@@ -117,7 +117,7 @@ def test_wordcloud_grid_svg():
     svg = wordcloud_grid_svg(profile)
     root = ET.fromstring(svg)
     assert len([el for el in root.iter() if el.tag.endswith("text")]) == 2
-    with pytest.raises(EmptyProfile):
+    with pytest.raises(CveMinerError, match="cluster 0 has no terms"):
         wordcloud_grid_svg(NgramProfile(cluster=0, r=1, entries=[]))
 
 

@@ -7,7 +7,7 @@ import pytest
 from cveminer import gateway, topics
 from cveminer.assets import fixture_bytes
 from cveminer.classifier import load_template
-from cveminer.errors import BlockedTermInLabel, PromptError
+from cveminer.errors import BlockedTermInLabel, CveMinerError
 from cveminer.topics import (NgramEntry, NgramProfile, build_sum_prompt,
                              cluster_keywords, dump_profiles, extract_ngrams,
                              load_profiles, summarize_cluster, tokenize)
@@ -179,7 +179,7 @@ def test_build_sum_prompt_wording(summarize_template):
 
 
 def test_build_sum_prompt_empty_profile(summarize_template):
-    with pytest.raises(PromptError):
+    with pytest.raises(CveMinerError, match="cluster 0 has no keywords to summarize"):
         build_sum_prompt(summarize_template, NgramProfile(cluster=0, entries=[], r=15))
 
 

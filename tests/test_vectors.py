@@ -7,7 +7,7 @@ import pytest
 
 from cveminer import gateway, vectors
 from cveminer.corpus import make_record
-from cveminer.errors import DimensionError, ZeroVectorError
+from cveminer.errors import CveMinerError
 from cveminer.gateway import ProviderConfig, ResponseCache, decode_f64, encode_f64
 from cveminer.vectors import (EmbedAborted, EmbeddingMatrix, dump_matrix, embed_corpus,
                               load_matrix, normalize_matrix)
@@ -25,7 +25,7 @@ def test_matrix_invariants():
     rows = np.ones((2, 3))
     with pytest.raises(ValueError):
         EmbeddingMatrix(ids=["a", "a"], rows=rows, dim=3, model_id="m")
-    with pytest.raises(DimensionError):
+    with pytest.raises(CveMinerError, match=r"does not match 2 ids x dim 4"):
         EmbeddingMatrix(ids=["a", "b"], rows=rows, dim=4, model_id="m")
 
 
@@ -67,7 +67,7 @@ def test_dump_matrix_rows_are_id_and_f64():
 def test_load_matrix_dim_mismatch():
     row = json.dumps({"id": "a", "f64": encode_f64(np.array([1.0, 2.0]))})
     data = b'{"dim": 3, "model": "m", "normalized": false}\n' + row.encode("ascii") + b"\n"
-    with pytest.raises(DimensionError):
+    with pytest.raises(CveMinerError, match="row a has 2 values, expected 3"):
         load_matrix(data)
 
 
@@ -77,7 +77,7 @@ def test_normalize_matrix():
     unit = normalize_matrix(matrix)
     assert unit.normalized is True
     assert np.allclose(np.linalg.norm(unit.rows, axis=1), 1.0, atol=1e-12)
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(CveMinerError, match="matrix contains a zero row"):
         normalize_matrix(EmbeddingMatrix(ids=["a"], rows=np.zeros((1, 2)), dim=2, model_id="m"))
 
 
@@ -135,22 +135,31 @@ def test_embed_corpus_dim_consistency(monkeypatch):
         return out[:32] if text.endswith("3") else out
 
     monkeypatch.setattr(gateway, "mock_embed_vector", ragged)
-    with pytest.raises(DimensionError):
+    with pytest.raises(CveMinerError, match="has dim 32, expected 64"):
         embed_corpus(config, _records(4))
 
 
-def test_embed_corpus_rejects_non_finite_cache_line(tmp_path):
-    # a vector with a NaN, cached as earlier versions could write it
+def test_embed_corpus_rejects_non_finite_cache_line(tmp_path, monkeypatch):
+    # a vector with a NaN, cached as earlier versions could write it, is asked for again
     config = ProviderConfig(kind="mock-embed", model_id="mock-embed-2", max_parallel=1)
     records = _records(2)
     path = tmp_path / "c.jsonl"
-    line = {"key": gateway.cache_key("embed", config.model_id, records[1].description),
-            "kind": "embed", "model": config.model_id,
-            "f64": encode_f64(np.array([0.5, np.nan])), "created_at": "2024-01-01T00:00:00+00:00"}
-    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    lines = [{"key": gateway.cache_key("embed", config.model_id, record.description),
+              "kind": "embed", "model": config.model_id, "f64": encode_f64(vector),
+              "created_at": "2024-01-01T00:00:00+00:00"}
+             for record, vector in zip(records, [np.array([0.6, 0.8]), np.array([0.5, np.nan])])]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    calls = []
+    real = gateway.mock_embed_vector
+    monkeypatch.setattr(gateway, "mock_embed_vector",
+                        lambda model_id, text: calls.append(text) or real(model_id, text))
     cache = ResponseCache(path)
-    with pytest.raises(ValueError, match="non-finite") as err:
-        embed_corpus(config, records, cache=cache)
-    cache.close()
-    assert records[1].id in str(err.value) and line["key"] in str(err.value)
-    assert records[0].id not in str(err.value)
+    try:
+        matrix = embed_corpus(config, records, cache=cache)
+    finally:
+        cache.close()
+    assert cache.skipped_lines == 1
+    assert calls == [records[1].description]
+    assert np.isfinite(matrix.rows).all() and matrix.rows[0].tolist() == [0.6, 0.8]
+    reloaded = ResponseCache(path)  # the new answer was appended after the bad line
+    assert reloaded.get(lines[1]["key"]).tobytes() == matrix.rows[1].tobytes()
