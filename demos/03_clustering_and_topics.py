@@ -43,9 +43,10 @@ texts = [r.description for r in hardware]
 profiles = topics.cluster_keywords(texts, model.assignments, model.k, r=15)
 summarize = classifier.load_template("summarize")
 for profile in profiles:
-    label = topics.summarize_cluster(chat, summarize, profile)
+    # an empty label, or one holding a blocklisted term, would go to review
+    label, blocked_term = topics.summarize_cluster(chat, summarize, profile)
     keywords = ", ".join(profile.keywords[:6])
-    print(f"  T{profile.cluster}: [{keywords}, ...] -> {label!r}")
+    print(f"  T{profile.cluster}: [{keywords}, ...] -> {label!r}, blocked term: {blocked_term}")
 
 # Ten nearest member CVEs per centroid, by cosine similarity.
 reps = representatives(matrix, model, m=10, metric="cosine")

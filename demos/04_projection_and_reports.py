@@ -39,7 +39,10 @@ print(f"projected {len(result.ids)} points; final KL {result.final_kl:.4f}; "
 texts = [r.description for r in hardware]
 profiles = topics.cluster_keywords(texts, model.assignments, model.k, r=15)
 summarize = classifier.load_template("summarize")
-labels = {p.cluster: topics.summarize_cluster(chat, summarize, p) for p in profiles}
+labels = {}
+for p in profiles:
+    label, blocked_term = topics.summarize_cluster(chat, summarize, p)
+    labels[p.cluster] = label if label and blocked_term is None else "(needs review)"
 
 clusters = dict(zip(matrix.ids, (int(a) for a in model.assignments)))
 (OUT / "scatter.svg").write_bytes(scatter_svg(result.ids, result.coords, clusters, labels))

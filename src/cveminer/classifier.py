@@ -23,7 +23,7 @@ from json.encoder import encode_basestring as _json_str
 from . import gateway
 from .assets import asset_text
 from .corpus import CveRecord, LabeledCve, _escape_line_breaks
-from .errors import CveMinerError, UnparseableLabel
+from .errors import CveMinerError
 
 HARDWARE = 1
 SOFTWARE = 0
@@ -32,12 +32,6 @@ _TEMPLATE_ASSETS = {"hwsw": "hwsw_prompt.txt", "summarize": "summarize_prompt.tx
 
 # A 0/1 that is not part of a longer number or word.
 _STANDALONE_BIT = re.compile(r"(?<![0-9A-Za-z])([01])(?![0-9A-Za-z])")
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    name: str
-    system_text: str
 
 
 @dataclass(frozen=True)
@@ -68,45 +62,32 @@ class ValidationReport:
         return cls(tp=tp, tn=tn, fp=fp, fn=fn, n=n, accuracy=accuracy)
 
 
-def load_template(name: str, path=None) -> PromptTemplate:
-    """Load the bundled default for `name`, or the file at `path` instead."""
-    if name not in _TEMPLATE_ASSETS:
-        raise ValueError(f"unknown template {name!r}")
+def load_template(name: str, path=None) -> str:
+    """The text of the bundled template `name` ("hwsw" or "summarize"), or
+    of the file at `path` instead, without its trailing newlines."""
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = asset_text(_TEMPLATE_ASSETS[name])
-    return PromptTemplate(name=name, system_text=text.rstrip("\n"))
+    return text.rstrip("\n")
 
 
-def build_hwsw_prompt(template: PromptTemplate, record: CveRecord) -> str:
+def build_hwsw_prompt(template: str, record: CveRecord) -> str:
     """Render the classification prompt for one record (deterministic)."""
-    if template.name != "hwsw":
-        raise ValueError(f"expected the hwsw template, got {template.name!r}")
-    return (f"{template.system_text}\nThe following is CVE information:\n"
+    return (f"{template}\nThe following is CVE information:\n"
             f'DESC: {{"id": {_json_str(record.id)}, "description": {_json_str(record.description)}}}')
 
 
-def parse_label(raw: str) -> int:
-    """Extract the binary label from raw model output.
-
-    Exact "0"/"1" after whitespace stripping wins; otherwise the first
-    standalone 0/1 token anywhere in the text.  Anything else raises
-    UnparseableLabel so the record can be queued for review.
-    """
-    if not raw:
-        raise UnparseableLabel(raw)
-    stripped = raw.strip()
-    if stripped in ("0", "1"):
-        return int(stripped)
+def parse_label(raw: str) -> int | None:
+    """Extract the binary label from raw model output: its first standalone
+    0/1 token (a bare "0" or "1" is one), or None when it holds none, so the
+    record can be queued for review."""
     m = _STANDALONE_BIT.search(raw)
-    if m is None:
-        raise UnparseableLabel(raw)
-    return int(m.group(1))
+    return None if m is None else int(m.group(1))
 
 
-def classify_corpus(config: gateway.ProviderConfig, template: PromptTemplate,
+def classify_corpus(config: gateway.ProviderConfig, template: str,
                     records: list[CveRecord],
                     cache=None) -> tuple[list[Prediction], list[tuple[str, str]]]:
     """Classify every record; failures are enumerated, never guessed.
@@ -116,21 +97,22 @@ def classify_corpus(config: gateway.ProviderConfig, template: PromptTemplate,
     """
     if not records:
         raise ValueError("classify_corpus needs at least one record")
+    if not config.is_chat:
+        raise ValueError(f"classify_corpus needs a chat provider, got {config.kind}")
     prompts = [build_hwsw_prompt(template, r) for r in records]
-    items = gateway.run_batch(config, prompts, op="complete", cache=cache)
+    items = gateway.run_batch(config, prompts, cache=cache)
     predictions: list[Prediction] = []
     failures: list[tuple[str, str]] = []
     for record, item in zip(records, items):
         if item.error is not None:
             failures.append((record.id, str(item.error)))
             continue
-        result = item.value
-        try:
-            label = parse_label(result.text)
-        except UnparseableLabel:
-            failures.append((record.id, f"unparseable label: {result.text!r}"))
+        text = item.value.text
+        label = parse_label(text)
+        if label is None:
+            failures.append((record.id, f"unparseable label: {text!r}"))
             continue
-        predictions.append(Prediction(record.id, label, result.text, config.model_id))
+        predictions.append(Prediction(record.id, label, text, config.model_id))
     return predictions, failures
 
 

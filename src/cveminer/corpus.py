@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 
-from .errors import CveMinerError, PatternError
+from .errors import CveMinerError
 
 CVE_ID_RE = re.compile(r"^CVE-(\d{4})-(\d{4,7})$")
 
@@ -78,18 +78,22 @@ def normalize_cve_id(raw: str) -> str:
     return raw.strip().translate(str.maketrans(_HYPHEN_VARIANTS))
 
 
-def make_record(cve_id: str, description: str, source: str = "") -> CveRecord:
-    """Validate fields and derive the year from the id.
+def _reject_reason(cve_id: str, description: str) -> str | None:
+    """Why a record with these fields is rejected, or None when it is valid."""
+    if CVE_ID_RE.match(cve_id) is None:
+        return "id pattern"
+    if not description.strip():
+        return "empty description"
+    return None
 
-    Raises PatternError for a malformed id and ValueError for an empty
-    description.
-    """
-    m = CVE_ID_RE.match(cve_id)
-    if m is None:
-        raise PatternError(f"id pattern: {cve_id!r}")
-    if not description or not description.strip():
-        raise ValueError(f"empty description for {cve_id}")
-    return CveRecord(id=cve_id, description=description, year=int(m.group(1)), source=source)
+
+def make_record(cve_id: str, description: str, source: str = "") -> CveRecord:
+    """Validate fields (CveMinerError if one is invalid) and derive the year from the id."""
+    reason = _reject_reason(cve_id, description)
+    if reason is not None:
+        raise CveMinerError(f"id pattern: {cve_id!r}" if reason == "id pattern"
+                            else f"empty description for {cve_id}")
+    return CveRecord(cve_id, description, int(cve_id[4:8]), source)  # a valid id's year
 
 
 def _decode(data: bytes) -> str:
@@ -116,18 +120,12 @@ def _parse_canonical(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
         if not isinstance(obj, dict):
             rejects.append(RejectEntry(index, "not an object", line))
             continue
-        try:
-            records.append(
-                make_record(
-                    str(obj.get("id", "")),
-                    str(obj.get("description", "")),
-                    str(obj.get("source", "")),
-                )
-            )
-        except PatternError:
-            rejects.append(RejectEntry(index, "id pattern", line))
-        except ValueError:
-            rejects.append(RejectEntry(index, "empty description", line))
+        cve_id, description = str(obj.get("id", "")), str(obj.get("description", ""))
+        reason = _reject_reason(cve_id, description)
+        if reason is None:
+            records.append(CveRecord(cve_id, description, int(cve_id[4:8]), str(obj.get("source", ""))))
+        else:
+            rejects.append(RejectEntry(index, reason, line))
     return records, rejects
 
 
@@ -177,12 +175,11 @@ def _parse_nvd(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
         if description is None:
             rejects.append(RejectEntry(index, "no english description", cve_id))
             continue
-        try:
-            records.append(make_record(cve_id, description, source="nvd"))
-        except PatternError:
-            rejects.append(RejectEntry(index, "id pattern", cve_id))
-        except ValueError:
-            rejects.append(RejectEntry(index, "empty description", cve_id))
+        reason = _reject_reason(cve_id, description)
+        if reason is None:
+            records.append(CveRecord(cve_id, description, int(cve_id[4:8]), "nvd"))
+        else:
+            rejects.append(RejectEntry(index, reason, cve_id))
     return records, rejects
 
 
@@ -229,8 +226,8 @@ def yearly_counts(records: list[CveRecord]) -> dict[int, int]:
 def load_fixture(data: bytes) -> IdListFixture:
     """Load an id-list fixture: ``{"name": str, "label": 0|1|null, "ids": [...]}``.
 
-    Ids are normalized to ASCII hyphens before validation.  A malformed id
-    raises PatternError; a duplicate id or a malformed fixture CveMinerError.
+    Ids are normalized to ASCII hyphens before validation.  A malformed id,
+    a duplicate id or a malformed fixture raises CveMinerError.
     """
     text = _decode(data)
     try:
@@ -248,7 +245,7 @@ def load_fixture(data: bytes) -> IdListFixture:
     for raw in obj["ids"]:
         cve_id = normalize_cve_id(str(raw))
         if CVE_ID_RE.match(cve_id) is None:
-            raise PatternError(f"id pattern: {raw!r}")
+            raise CveMinerError(f"id pattern: {raw!r}")
         if cve_id in seen:
             raise CveMinerError(f"duplicate id in fixture: {cve_id}")
         seen.add(cve_id)

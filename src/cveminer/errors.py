@@ -1,16 +1,16 @@
-"""Exception types shared across the toolkit: a class only where code catches
-it or reads its fields; every other failure is a ``CveMinerError`` whose
-message says what went wrong."""
+"""Exception types shared across the toolkit: one per CLI exit code.
+
+A failure that stops the work is raised: ``CveMinerError`` (exit 2) with a
+message that says what went wrong, or ``ProviderError`` (exit 3).  A verdict
+that the caller records and goes on from (a reject reason, an unparseable
+label, a topic label that needs review) is a return value, never raised.
+"""
 
 from __future__ import annotations
 
 
 class CveMinerError(Exception):
     """Base class for all toolkit errors."""
-
-
-class PatternError(CveMinerError):
-    """A CVE id does not match CVE-<4 digits>-<4..7 digits>."""
 
 
 class ProviderError(CveMinerError):
@@ -20,20 +20,3 @@ class ProviderError(CveMinerError):
         super().__init__(f"provider error (status={status}): {body[:200]}")
         self.status = status
         self.body = body
-
-
-class UnparseableLabel(CveMinerError):
-    """Model output contains no recognizable 0/1 label."""
-
-    def __init__(self, raw: str):
-        super().__init__(f"no binary label in model output: {raw!r}")
-        self.raw = raw
-
-
-class BlockedTermInLabel(CveMinerError):
-    """A generated topic label contains a blocklisted term."""
-
-    def __init__(self, label: str, term: str):
-        super().__init__(f"blocked term {term!r} in label {label!r}")
-        self.label = label
-        self.term = term

@@ -552,9 +552,10 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
     return _answer(config, "embed", text, cache, call)[0]
 
 
-def run_batch(config: ProviderConfig, inputs: list[str], op: str,
+def run_batch(config: ProviderConfig, inputs: list[str],
               cache: ResponseCache | None = None) -> list[BatchItem]:
-    """Run an operation over many inputs with bounded parallelism.
+    """``complete`` (a chat provider) or ``embed`` (an embed provider) over
+    many inputs with bounded parallelism.
 
     The result list is index-aligned with the inputs regardless of
     completion order; a failing item carries its error instead of aborting
@@ -570,9 +571,7 @@ def run_batch(config: ProviderConfig, inputs: list[str], op: str,
     """
     if not inputs:
         raise ValueError("run_batch needs at least one input")
-    if op not in ("complete", "embed"):
-        raise ValueError(f"unknown batch op {op!r}")
-    fn = complete if op == "complete" else embed
+    fn = complete if config.is_chat else embed
     first: dict[str, int] = {}  # NFC input -> index of its first occurrence
     for i, text in enumerate(inputs):
         first.setdefault(unicodedata.normalize("NFC", text), i)

@@ -45,6 +45,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -105,11 +106,18 @@ class PipelineConfig:
         for name in ("perplexity", "learning_rate"):
             if not getattr(self, name) > 0:  # NaN included
                 reject(name, f"must be > 0, got {getattr(self, name)}")
+        for name in ("seed", "tol"):
+            if not getattr(self, name) >= 0:  # NaN included
+                reject(name, f"must be >= 0, got {getattr(self, name)}")
         if self.k is None and not 2 <= self.elbow_range[0] <= self.elbow_range[1] - 2:
             reject("elbow_range", f"need 2 <= k_min and k_max - k_min >= 2, got {list(self.elbow_range)}")
         for name, allowed in (("metric", clustering.METRICS), ("corpus_format", corpus.PARSE_FORMATS)):
             if getattr(self, name) not in allowed:
                 reject(name, f"expected one of {allowed}, got {getattr(self, name)!r}")
+        for name, kinds in (("chat_provider", gateway.CHAT_KINDS),
+                            ("embed_provider", gateway.EMBED_KINDS)):
+            if getattr(self, name).kind not in kinds:
+                reject(name, f"expected a kind in {kinds}, got {getattr(self, name).kind!r}")
         if self.years is not None and self.years[0] > self.years[1]:
             reject("years", f"year range [{self.years[0]}, {self.years[1]}] is empty")
         if not self.corpus_paths:
@@ -166,6 +174,13 @@ def _int(v) -> int:
     return int(v)
 
 
+def _float(v) -> float:
+    """`float(v)`, but a bool or a value that is not finite is rejected."""
+    if isinstance(v, bool) or not math.isfinite(float(v)):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
 # field -> (its dotted key in a config document, the coercion of a present
 # value, None for none); a key the document leaves out keeps the field's default
 _DOC_KEYS = {
@@ -181,16 +196,16 @@ _DOC_KEYS = {
     "elbow_range": ("clustering.elbow_range", lambda v: tuple(map(_int, _pair(v)))),
     "restarts": ("clustering.restarts", _int),
     "max_iter": ("clustering.max_iter", _int),
-    "tol": ("clustering.tol", float),
+    "tol": ("clustering.tol", _float),
     "normalize": ("clustering.normalize", _bool),
     "metric": ("clustering.metric", None),
     "r": ("topics.r", _int),
     "per_document": ("topics.per_document", _bool),
     "stopwords_path": ("topics.stopwords_path", None),
     "blocklist_path": ("topics.blocklist_path", None),
-    "perplexity": ("projection.perplexity", float),
+    "perplexity": ("projection.perplexity", _float),
     "tsne_iterations": ("projection.iterations", _int),
-    "learning_rate": ("projection.learning_rate", float),
+    "learning_rate": ("projection.learning_rate", _float),
     "m": ("report.m", _int),
     "dry_run": ("dry_run", _bool),
 }
@@ -374,7 +389,7 @@ class _Run:
                 "cache_skipped_lines": self.cache.skipped_lines if loaded else 0}
 
     @cached_property
-    def hwsw_template(self) -> classifier.PromptTemplate:
+    def hwsw_template(self) -> str:
         return classifier.load_template("hwsw", self.config.template_path)
 
     @cached_property
@@ -491,15 +506,15 @@ def _topics(run: _Run) -> dict:
                                        run.blocklist, run.stopwords,
                                        per_document=config.per_document)
     template = classifier.load_template("summarize")
-    summaries, blocked = [], []
+    summaries, blocked = [], []  # blocked: labels held for review; an empty one has no term
     for profile in profiles:
         label = None
         if profile.entries:
-            try:
-                label = topics.summarize_cluster(config.chat_provider, template, profile,
-                                                 cache=run.cache, blocked=run.blocklist)
-            except topics.BlockedTermInLabel as exc:
-                blocked.append({"cluster": profile.cluster, "label": exc.label, "term": exc.term})
+            label, term = topics.summarize_cluster(config.chat_provider, template, profile,
+                                                   cache=run.cache, blocked=run.blocklist)
+            if not label or term is not None:
+                blocked.append({"cluster": profile.cluster, "label": label, "term": term})
+                label = None
         summaries.append({"cluster": profile.cluster, "label": label, "keywords": profile.keywords,
                           "model": None if label is None else config.chat_provider.model_id})
     run.write("ngram_profiles.json", topics.dump_profiles(profiles), profiles)
@@ -574,7 +589,7 @@ _STAGE_TABLE = (
           (), _ingest),
     Stage("classify", lambda c, run: {
         "provider": [c.chat_provider.kind, c.chat_provider.model_id, c.chat_provider.temperature],
-        "template": _sha256(run.hwsw_template.system_text.encode("utf-8"))},
+        "template": _sha256(run.hwsw_template.encode("utf-8"))},
           ("records.jsonl",), _classify),
     Stage("embed", lambda c, run: {"provider": [c.embed_provider.kind, c.embed_provider.model_id],
                                    "format": vectors.MATRIX_FORMAT},

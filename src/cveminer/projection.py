@@ -4,8 +4,9 @@ The implementation follows the canonical recipe: per-point Gaussian input
 kernels with bandwidths binary-searched to match the target perplexity,
 symmetrized joint affinities, a Student-t output kernel, and momentum
 gradient descent with an early exaggeration phase.  Gradients are computed
-exactly (O(n^2)), which is comfortable up to a few thousand points and
-keeps runs bit-reproducible for a fixed seed on one machine.
+exactly (O(n^2)), which is comfortable up to a few thousand points.  A
+fixed seed repeats a layout bit for bit only on the same CPU model and BLAS
+thread count: the GEMMs return other bits at 1 and 2 OpenBLAS threads.
 
 The optimization schedule is fixed (van der Maaten & Hinton 2008): the
 input affinities are exaggerated x12 for the first 250 iterations, momentum

@@ -156,15 +156,16 @@ def validation_summary(report: ValidationReport | None,
 
 
 def review_export(failures: list[tuple[str, str]],
-                  blocked_labels: list[tuple[int, str, str]]) -> str:
+                  blocked_labels: list[tuple[int, str, str | None]]) -> str:
     """Single human-review queue combining all items that need eyes.
 
-    Entries carry id, pipeline stage, reason, and the raw text involved.
+    Entries carry id, pipeline stage, reason, and the raw text involved.  A
+    held topic label's term is None when the label is empty.
     """
     queue = []
     for cve_id, reason in failures:
         queue.append({"id": cve_id, "stage": "classify", "reason": reason, "raw": reason})
     for cluster, label, term in blocked_labels:
         queue.append({"id": f"cluster-{cluster}", "stage": "summarize",
-                      "reason": "blocked term", "raw": label})
+                      "reason": "empty label" if term is None else "blocked term", "raw": label})
     return json.dumps(queue, indent=2, ensure_ascii=False) + "\n"

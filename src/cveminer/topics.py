@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from . import gateway
 from .assets import blocklist as default_blocklist
 from .assets import stopwords as default_stopwords
-from .classifier import PromptTemplate
-from .errors import BlockedTermInLabel, CveMinerError
+from .errors import CveMinerError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -113,36 +112,31 @@ def cluster_keywords(texts: list[str], assignments, k: int, r: int,
     return profiles
 
 
-def build_sum_prompt(template: PromptTemplate, profile: NgramProfile) -> str:
+def build_sum_prompt(template: str, profile: NgramProfile) -> str:
     """Summarization prompt: the instruction block plus ranked keywords."""
-    if template.name != "summarize":
-        raise ValueError(f"expected the summarize template, got {template.name!r}")
     if not profile.entries:
         raise CveMinerError(f"cluster {profile.cluster} has no keywords to summarize")
     keywords = ", ".join(profile.keywords)
-    return f"{template.system_text}\nKeywords: {keywords}"
+    return f"{template}\nKeywords: {keywords}"
 
 
-def summarize_cluster(config: gateway.ProviderConfig, template: PromptTemplate,
+def summarize_cluster(config: gateway.ProviderConfig, template: str,
                       profile: NgramProfile, cache=None,
-                      blocked: frozenset[str] | None = None) -> str:
+                      blocked: frozenset[str] | None = None) -> tuple[str, str | None]:
     """Obtain a short topic label for one cluster's keyword profile.
 
-    The label is the first non-empty output line, post-checked against the
-    blocklist; a blocked label raises so the item can be queued for review
-    with the raw text preserved.
+    Returns (label, term).  The label is the first non-empty output line,
+    "" when the output has none; term is the first blocklisted token in the
+    label, or None.  A label that is empty or holds a blocked term goes to
+    review, with the raw label preserved.
     """
     if blocked is None:
         blocked = default_blocklist()
     prompt = build_sum_prompt(template, profile)
     result = gateway.complete(config, prompt, cache=cache)
     label = next((line.strip() for line in result.text.splitlines() if line.strip()), "")
-    if not label:
-        raise CveMinerError(f"empty label for cluster {profile.cluster}")
-    for tok in _TOKEN_RE.findall(label.lower()):
-        if tok in blocked:
-            raise BlockedTermInLabel(label, tok)
-    return label
+    term = next((tok for tok in _TOKEN_RE.findall(label.lower()) if tok in blocked), None)
+    return label, term
 
 
 # --- artifact serialization -------------------------------------------------

@@ -121,7 +121,9 @@ def embed_corpus(config: gateway.ProviderConfig, records: list[CveRecord],
     """
     if not records:
         raise ValueError("no records to embed")
-    items = gateway.run_batch(config, [r.description for r in records], op="embed", cache=cache)
+    if config.is_chat:
+        raise ValueError(f"embed_corpus needs an embed provider, got {config.kind}")
+    items = gateway.run_batch(config, [r.description for r in records], cache=cache)
     failures = [(records[it.index].id, str(it.error)) for it in items if it.error is not None]
     if failures:
         raise EmbedAborted(failures, completed=len(items) - len(failures))

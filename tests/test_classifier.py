@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from cveminer import classifier, corpus, gateway
+from cveminer import classifier, corpus, gateway, vectors
 from cveminer.classifier import (Prediction, ValidationReport, build_hwsw_prompt,
                                  classify_corpus, evaluate, hardware_subset,
                                  load_template, parse_label)
-from cveminer.errors import CveMinerError, UnparseableLabel
+from cveminer.errors import CveMinerError
 
 
 @pytest.fixture
@@ -17,17 +17,17 @@ def hwsw():
 
 
 def test_bundled_template_wording(hwsw):
-    assert hwsw.system_text.startswith("You are a cybersecurity expert.")
-    assert "If it is a hardware vulnerability, returns 1." in hwsw.system_text
-    assert "If it is a software vulnerability, returns 0." in hwsw.system_text
-    assert "Don't explain the results. Just return the values." in hwsw.system_text
+    assert hwsw.startswith("You are a cybersecurity expert.")
+    assert "If it is a hardware vulnerability, returns 1." in hwsw
+    assert "If it is a software vulnerability, returns 0." in hwsw
+    assert "Don't explain the results. Just return the values." in hwsw
 
 
 def test_prompt_layout(hwsw):
     record = corpus.make_record("CVE-2021-0091", "some flaw", "t")
     prompt = build_hwsw_prompt(hwsw, record)
     assert "The following is CVE information:" in prompt
-    assert prompt.index(hwsw.system_text) < prompt.index("The following is CVE information:")
+    assert prompt.index(hwsw) < prompt.index("The following is CVE information:")
     assert prompt.splitlines()[-1].startswith("DESC: ")
 
 
@@ -45,18 +45,18 @@ def test_prompt_payload_survives_quotes_and_newlines(hwsw):
     assert payload == {"id": record.id, "description": record.description}
 
 
-def test_wrong_template_rejected(hwsw):
-    summarize = load_template("summarize")
-    record = corpus.make_record("CVE-2021-0001", "x", "t")
-    with pytest.raises(ValueError):
-        build_hwsw_prompt(summarize, record)
+def test_classify_and_embed_need_their_provider_role(chat_config, embed_config, hwsw):
+    records = [corpus.make_record("CVE-2021-0001", "x", "t")]
+    with pytest.raises(ValueError, match="classify_corpus needs a chat provider, got mock-embed"):
+        classify_corpus(embed_config, hwsw, records)
+    with pytest.raises(ValueError, match="embed_corpus needs an embed provider, got mock-chat"):
+        vectors.embed_corpus(chat_config, records)
 
 
 def test_template_path_override(tmp_path):
     path = tmp_path / "alt.txt"
     path.write_text("Alternate instructions.\n")
-    template = load_template("hwsw", path)
-    assert template.system_text == "Alternate instructions."
+    assert load_template("hwsw", path) == "Alternate instructions."
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -72,8 +72,7 @@ def test_parse_label_lenient(raw, expected):
 
 @pytest.mark.parametrize("raw", ["", "yes", "hardware", "10", "2", "zero one"])
 def test_parse_label_failures(raw):
-    with pytest.raises(UnparseableLabel):
-        parse_label(raw)
+    assert parse_label(raw) is None
 
 
 def test_parse_label_never_outside_binary():
@@ -81,10 +80,7 @@ def test_parse_label_never_outside_binary():
     alphabet = "01 abxyz.\n:"
     for _ in range(500):
         raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
-        try:
-            assert parse_label(raw) in (0, 1)
-        except UnparseableLabel:
-            pass
+        assert parse_label(raw) in (0, 1, None)
 
 
 def test_classify_mini_corpus_matches_keyword_oracle(mini_records, chat_config, hwsw):

@@ -1,10 +1,11 @@
 import json
+import re
 
 import pytest
 
 from cveminer import corpus
 from cveminer.assets import fixture_bytes
-from cveminer.errors import CveMinerError, PatternError
+from cveminer.errors import CveMinerError
 
 
 def test_parse_single_canonical_line():
@@ -31,7 +32,7 @@ def test_parse_bad_id_is_rejected_with_reason():
 @pytest.mark.parametrize("bad_id", ["cve-2021-1234", "CVE-2021-123", "CVE-2021-12345678",
                                     "CVE-21-1234", "CVE-2021-1234x", "x CVE-2021-1234"])
 def test_id_pattern_is_strict(bad_id):
-    with pytest.raises(PatternError):
+    with pytest.raises(CveMinerError, match=re.escape(f"id pattern: {bad_id!r}")):
         corpus.make_record(bad_id, "text")
 
 
@@ -193,7 +194,7 @@ def test_fixture_duplicate_id():
 
 def test_fixture_bad_pattern():
     data = json.dumps({"name": "d", "label": None, "ids": ["CVE-20x1-0001"]}).encode()
-    with pytest.raises(PatternError):
+    with pytest.raises(CveMinerError, match=re.escape("id pattern: 'CVE-20x1-0001'")):
         corpus.load_fixture(data)
 
 

@@ -353,7 +353,7 @@ def test_run_batch_preserves_order(chat_config, monkeypatch):
 
     monkeypatch.setattr(gateway, "mock_chat_reply", slow_reply)
     prompts = [f"DESC: {'dram' if i % 3 == 0 else 'web'} item {i}" for i in range(10)]
-    items = run_batch(chat_config, prompts, op="complete")
+    items = run_batch(chat_config, prompts)
     assert [it.index for it in items] == list(range(10))
     expected = ["1" if i % 3 == 0 else "0" for i in range(10)]
     assert [it.value.text for it in items] == expected
@@ -375,7 +375,7 @@ def test_run_batch_parallelism_bound(monkeypatch):
         return real(model_id, prompt)
 
     monkeypatch.setattr(gateway, "mock_chat_reply", tracking_reply)
-    run_batch(config, [f"DESC: item {i}" for i in range(12)], op="complete")
+    run_batch(config, [f"DESC: item {i}" for i in range(12)])
     assert 1 <= state["peak"] <= 3
 
 
@@ -397,8 +397,7 @@ def test_run_batch_bills_duplicate_inputs_once(tmp_path, monkeypatch):
         return real(model_id, prompt)
 
     monkeypatch.setattr(gateway, "mock_chat_reply", gated_reply)
-    items = run_batch(config, ["DESC: firmware flaw", "DESC: firmware flaw"], op="complete",
-                      cache=cache)
+    items = run_batch(config, ["DESC: firmware flaw", "DESC: firmware flaw"], cache=cache)
     cache.close()
     assert calls == ["DESC: firmware flaw"]
     assert [it.index for it in items] == [0, 1]
@@ -426,7 +425,7 @@ def test_run_batch_bills_nfc_equivalent_inputs_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gateway, "mock_chat_reply", gated_reply)
     nfc, nfd = "DESC: caf\u00e9 firmware", "DESC: cafe\u0301 firmware"
-    items = run_batch(config, [nfc, nfd], op="complete", cache=cache)
+    items = run_batch(config, [nfc, nfd], cache=cache)
     cache.close()
     assert calls == [nfc]
     assert [it.index for it in items] == [0, 1]
@@ -437,7 +436,7 @@ def test_run_batch_bills_nfc_equivalent_inputs_once(tmp_path, monkeypatch):
 def test_run_batch_duplicates_share_the_error(chat_config):
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
     bad = f"DESC: {gateway.TEXT_FAIL_MARKER}"
-    items = run_batch(config, [bad, "DESC: ok", bad], op="complete")
+    items = run_batch(config, [bad, "DESC: ok", bad])
     assert items[0].error is items[2].error and isinstance(items[2].error, ProviderError)
     assert items[1].error is None and items[2].index == 2
 
@@ -453,7 +452,7 @@ def test_run_batch_single_worker_runs_on_calling_thread(monkeypatch):
 
     monkeypatch.setattr(gateway, "mock_chat_reply", recording_reply)
     before = threading.active_count()
-    items = run_batch(config, [f"DESC: item {i}" for i in range(5)], op="complete")
+    items = run_batch(config, [f"DESC: item {i}" for i in range(5)])
     assert seen == {threading.get_ident()}
     assert threading.active_count() == before
     assert [it.value.text for it in items] == ["0"] * 5
@@ -480,7 +479,7 @@ def test_run_batch_stress_each_distinct_input_once(tmp_path, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         start = time.perf_counter()
-        items = run_batch(config, prompts, op="complete", cache=cache)
+        items = run_batch(config, prompts, cache=cache)
         assert time.perf_counter() - start < 30
     finally:
         sys.setswitchinterval(interval)
@@ -495,14 +494,14 @@ def test_run_batch_stress_each_distinct_input_once(tmp_path, monkeypatch):
 def test_run_batch_isolates_item_failures(chat_config):
     prompts = ["DESC: one", f"DESC: two {gateway.TEXT_FAIL_MARKER}", "DESC: three"]
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
-    items = run_batch(config, prompts, op="complete")
+    items = run_batch(config, prompts)
     assert items[0].error is None and items[2].error is None
     assert isinstance(items[1].error, ProviderError)
 
 
 def test_zero_retries_flaky_fails_once():
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
-    items = run_batch(config, ["DESC: x mock::flaky1"], op="complete")
+    items = run_batch(config, ["DESC: x mock::flaky1"])
     assert isinstance(items[0].error, ProviderError)
 
 
@@ -521,11 +520,16 @@ def test_retry_recovers_flaky_and_counts_attempts(monkeypatch):
     assert max(slept) > 0.0
 
 
-def test_run_batch_rejects_empty_and_bad_op(chat_config):
+def test_run_batch_rejects_empty_input(chat_config):
     with pytest.raises(ValueError):
-        run_batch(chat_config, [], op="complete")
-    with pytest.raises(ValueError):
-        run_batch(chat_config, ["x"], op="transmogrify")
+        run_batch(chat_config, [])
+
+
+def test_run_batch_follows_the_provider_role(chat_config, embed_config):
+    [chat] = run_batch(chat_config, ["DESC: firmware flaw"])
+    assert chat.value.text == "1"
+    [vec] = run_batch(embed_config, ["firmware flaw"])
+    assert vec.value.shape == (64,)
 
 
 def test_kind_mismatch(chat_config, embed_config):
@@ -766,7 +770,7 @@ def test_run_batch_keeps_one_connection_per_worker_and_closes_them(monkeypatch):
     with _serve_keep_alive() as (url, stats):
         config = ProviderConfig(kind="remote-chat", model_id="mock-hwsw", endpoint=url,
                                 max_parallel=2, timeout=5.0, retry_limit=0)
-        items = run_batch(config, prompts, op="complete")
+        items = run_batch(config, prompts)
         assert [it.error for it in items] == [None] * len(prompts)
         assert [it.value.text for it in items] == [mock_chat_reply("mock-hwsw", p)
                                                    for p in prompts]
@@ -787,7 +791,7 @@ def test_a_connection_dropped_while_idle_is_reopened_within_the_attempt():
         # no retries: the reopen must not cost an attempt
         config = ProviderConfig(kind="remote-chat", model_id="mock-hwsw", endpoint=url,
                                 max_parallel=1, timeout=5.0, retry_limit=0)
-        items = run_batch(config, prompts, op="complete")
+        items = run_batch(config, prompts)
         assert [it.error for it in items] == [None] * 3
         assert [it.value.text for it in items] == ["1", "0", "1"]
         assert [it.value.attempts for it in items] == [1, 1, 1]

@@ -38,7 +38,7 @@ def _records_oracle(records):
 def _prompt_oracle(template, record):
     payload = json.dumps({"id": record.id, "description": record.description},
                          ensure_ascii=False)
-    return f"{template.system_text}\nThe following is CVE information:\nDESC: {payload}"
+    return f"{template}\nThe following is CVE information:\nDESC: {payload}"
 
 
 def _predictions_oracle(predictions):

@@ -213,6 +213,33 @@ def test_pipeline_reasks_corrupt_cache_lines(tmp_path, monkeypatch):
         assert tree_bytes(tmp_path / rerun) == tree_bytes(tmp_path / "out")
 
 
+def test_pipeline_sends_empty_and_blocked_labels_to_review(tmp_path, monkeypatch):
+    real = gateway.mock_chat_reply
+    replies = iter(["  \n", "Intel firmware issue"])  # the first two summary prompts
+    monkeypatch.setattr(gateway, "mock_chat_reply", lambda model_id, prompt: (
+        next(replies, None) if "\nKeywords: " in prompt else None) or real(model_id, prompt))
+    config = _config_file(tmp_path)
+    assert cli_main(["pipeline", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert json.loads((out / "review_queue.json").read_text(encoding="utf-8")) == [
+        {"id": "cluster-0", "stage": "summarize", "reason": "empty label", "raw": ""},
+        {"id": "cluster-1", "stage": "summarize", "reason": "blocked term",
+         "raw": "Intel firmware issue"}]
+    assert json.loads((out / "blocked_labels.json").read_text(encoding="utf-8")) == [
+        {"cluster": 0, "label": "", "term": None},
+        {"cluster": 1, "label": "Intel firmware issue", "term": "intel"}]
+    table = (out / "topic_table.md").read_text(encoding="utf-8")
+    assert table.count("(needs review)") == 2
+    # the cached empty answer blocks no later run: a re-run is all cached, and
+    # a fresh output dir over the same cache asks no provider
+    monkeypatch.setattr(gateway, "mock_chat_reply", lambda *a: pytest.fail("provider called"))
+    assert cli_main(["pipeline", "--config", str(config)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert [s["status"] for s in manifest["stages"]] == ["cached"] * len(STAGES)
+    assert cli_main(["pipeline", "--config", str(config), "--out", str(tmp_path / "rerun")]) == 0
+    assert tree_bytes(tmp_path / "rerun") == tree_bytes(out)
+
+
 def test_pipeline_cached_rerun_never_opens_response_cache(tmp_path, monkeypatch):
     config = PipelineConfig.from_dict(write_config(tmp_path))
     run_pipeline(config)
@@ -730,7 +757,16 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
             ({"providers.chat.max_parallel": True}, [], "providers.chat"),
             ({"providers.embed.retry_limit": 1.5}, [], "providers.embed"),
             ({"providers.chat.timeout": -1}, [], "providers.chat"),
-            ({"providers.chat.temperature": "hot"}, [], "providers.chat")]:
+            ({"providers.chat.temperature": "hot"}, [], "providers.chat"),
+            # each provider serves one role, set by its kind
+            ({}, ["--providers.chat.kind=mock-embed"], "providers.chat"),
+            ({}, ["--providers.embed.kind=mock-chat"], "providers.embed"),
+            # float keys take a finite number, not a bool; tol and seed are not negative
+            ({}, ["--projection.perplexity=true"], "projection.perplexity"),
+            ({}, ["--projection.learning_rate=Infinity"], "projection.learning_rate"),
+            ({}, ["--clustering.tol=NaN"], "clustering.tol"),
+            ({}, ["--clustering.tol=-1"], "clustering.tol"),
+            ({}, ["--seed=-1"], "seed")]:
         capsys.readouterr()
         assert cli_main(["pipeline", "--config", str(_config_file(tmp_path, **overrides)),
                          *extras]) == 2

@@ -7,7 +7,7 @@ import pytest
 from cveminer import gateway, topics
 from cveminer.assets import fixture_bytes
 from cveminer.classifier import load_template
-from cveminer.errors import BlockedTermInLabel, CveMinerError
+from cveminer.errors import CveMinerError
 from cveminer.topics import (NgramEntry, NgramProfile, build_sum_prompt,
                              cluster_keywords, dump_profiles, extract_ngrams,
                              load_profiles, summarize_cluster, tokenize)
@@ -183,32 +183,31 @@ def test_build_sum_prompt_empty_profile(summarize_template):
         build_sum_prompt(summarize_template, NgramProfile(cluster=0, entries=[], r=15))
 
 
-def test_build_sum_prompt_wrong_template():
-    with pytest.raises(ValueError):
-        build_sum_prompt(load_template("hwsw"), _profile("a"))
-
-
 def test_summarize_mock_label(summarize_template, chat_config):
     texts = json.loads(fixture_bytes("topic0_texts.json"))
     profile = NgramProfile(cluster=0, entries=extract_ngrams(texts, r=15), r=15)
     assert profile.keywords[:4] == ["access", "local", "user", "privileged"]
     label = summarize_cluster(chat_config, summarize_template, profile)
-    assert label == "topic: access local user privileged"
+    assert label == ("topic: access local user privileged", None)
 
 
 def test_summarize_keeps_first_nonempty_line(summarize_template, chat_config, monkeypatch):
     monkeypatch.setattr(gateway, "mock_chat_reply",
                         lambda *a, **k: "\n\n  Memory Corruption Topic  \nsecond line")
     label = summarize_cluster(chat_config, summarize_template, _profile("a"))
-    assert label == "Memory Corruption Topic"
+    assert label == ("Memory Corruption Topic", None)
 
 
 def test_summarize_blocked_term_routes_to_review(summarize_template, chat_config, monkeypatch):
     monkeypatch.setattr(gateway, "mock_chat_reply", lambda *a, **k: "Intel firmware issue")
-    with pytest.raises(BlockedTermInLabel) as err:
-        summarize_cluster(chat_config, summarize_template, _profile("a"))
-    assert err.value.label == "Intel firmware issue"
-    assert err.value.term == "intel"
+    label = summarize_cluster(chat_config, summarize_template, _profile("a"))
+    assert label == ("Intel firmware issue", "intel")
+
+
+@pytest.mark.parametrize("reply", ["", "  \n", "\n\t\n"])
+def test_summarize_empty_label_routes_to_review(summarize_template, chat_config, monkeypatch, reply):
+    monkeypatch.setattr(gateway, "mock_chat_reply", lambda *a, **k: reply)
+    assert summarize_cluster(chat_config, summarize_template, _profile("a")) == ("", None)
 
 
 def test_profiles_round_trip():
