@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .errors import CveMinerError, ProviderError
 from .pipeline import STAGES, PipelineConfig, run_pipeline, run_validate
-from .vectors import EmbedAborted
 
 
 def _parse_value(raw: str):
@@ -117,10 +116,10 @@ def main(argv=None) -> int:
         for stage in manifest["stages"]:
             print(f"{stage['name']}: {stage['status']} {json.dumps(stage['counts'], sort_keys=True)}")
         return 0
-    except (ProviderError, TimeoutError, EmbedAborted) as exc:
+    except ProviderError as exc:
         print(f"provider failure: {exc}", file=sys.stderr)
         return 3
-    except (CveMinerError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (CveMinerError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -87,15 +87,6 @@ def _reject_reason(cve_id: str, description: str) -> str | None:
     return None
 
 
-def make_record(cve_id: str, description: str, source: str = "") -> CveRecord:
-    """Validate fields (CveMinerError if one is invalid) and derive the year from the id."""
-    reason = _reject_reason(cve_id, description)
-    if reason is not None:
-        raise CveMinerError(f"id pattern: {cve_id!r}" if reason == "id pattern"
-                            else f"empty description for {cve_id}")
-    return CveRecord(cve_id, description, int(cve_id[4:8]), source)  # a valid id's year
-
-
 def _decode(data: bytes) -> str:
     try:
         return data.decode("utf-8")

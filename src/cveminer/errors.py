@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit: one per CLI exit code.
 
 A failure that stops the work is raised: ``CveMinerError`` (exit 2) with a
-message that says what went wrong, or ``ProviderError`` (exit 3).  A verdict
+message that says what went wrong, or ``ProviderError`` (exit 3) for every
+provider failure: a call that failed after its retries (a timeout
+included), or a corpus with records that could not be embedded.  A verdict
 that the caller records and goes on from (a reject reason, an unparseable
 label, a topic label that needs review) is a return value, never raised.
 """

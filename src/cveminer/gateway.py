@@ -13,6 +13,7 @@ call and the type it returns.  A transient failure (a timeout, a failed
 connection, a status in RETRYABLE_STATUS) is retried up to ``retry_limit``
 times, with exponential backoff and full jitter: before retry k the calling
 thread sleeps a uniform random time in [0, BACKOFF_BASE_S * 2^(k-1)].
+A call that fails for good, a timeout included, raises ``ProviderError``.
 
 ``run_batch`` dispatches each distinct input once (inputs that are equal
 after NFC normalization, as ``cache_key`` sees them, count as one), from at
@@ -54,9 +55,10 @@ functions of (model_id, input text):
   hardware keyword get that keyword's fixed class direction mixed in before
   normalization, so clusters of same-keyword texts are well separated.
 
-Mock model-id grammar: a ``fail`` token makes every attempt fail with a
-retryable error; a trailing integer token sets the embedding dimension
-(default 64).
+Mock model-id grammar, its only knobs: a ``fail`` token makes every attempt
+fail with a retryable error; a trailing integer token sets the embedding
+dimension (default 64).  The mocks keep no state, so a test that needs a
+single input to fail patches ``mock_chat_reply`` or ``mock_embed_vector``.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ import json
 import math
 import os
 import random
-import re
 import threading
 import time
 import unicodedata
@@ -289,21 +290,6 @@ class _Transient(Exception):
         self.body = body
 
 
-_flaky_lock = threading.Lock()
-_flaky_counts: dict[tuple[str, str], int] = {}
-
-# Failure injection for tests: a "fail" token in the model id applies to
-# every input; the markers below apply to a single input text.
-TEXT_FAIL_MARKER = "mock::fail"
-_TEXT_FLAKY = re.compile(r"mock::flaky(\d+)")
-
-
-def reset_flaky_state() -> None:
-    """Forget per-input failure counters of flaky mock inputs (test helper)."""
-    with _flaky_lock:
-        _flaky_counts.clear()
-
-
 def _mock_tokens(model_id: str) -> list[str]:
     return model_id.lower().split("-")
 
@@ -314,19 +300,9 @@ def _mock_always_fails(model_id: str) -> bool:
     return "fail" in _mock_tokens(model_id)
 
 
-def _mock_maybe_fail(model_id: str, text: str) -> None:
-    marked = "mock::" in text
-    if _mock_always_fails(model_id) or (marked and TEXT_FAIL_MARKER in text):
+def _mock_maybe_fail(model_id: str) -> None:
+    if _mock_always_fails(model_id):
         raise _Transient(503, "mock provider configured to fail")
-    marker = _TEXT_FLAKY.search(text) if marked else None
-    if marker:
-        budget = int(marker.group(1))
-        key = (model_id, text)
-        with _flaky_lock:
-            seen = _flaky_counts.get(key, 0)
-            _flaky_counts[key] = seen + 1
-        if seen < budget:
-            raise _Transient(503, f"flaky mock failure {seen + 1}/{budget}")
 
 
 def keyword_class(text: str) -> str | None:
@@ -489,9 +465,7 @@ def _answer(config: ProviderConfig, kind: str, text: str, cache: ResponseCache |
             value = call()
             break
         except _Transient as exc:
-            if attempts > config.retry_limit:
-                if exc.status is None and exc.body == "timeout":
-                    raise TimeoutError(f"{config.model_id}: timed out after {attempts} attempts")
+            if attempts > config.retry_limit:  # a timeout too: its body says "timeout"
                 raise ProviderError(exc.status, exc.body)
             time.sleep(_jitter.uniform(0.0, BACKOFF_BASE_S * (2 ** (attempts - 1))))
     latency = time.perf_counter() - start
@@ -511,7 +485,7 @@ def complete(config: ProviderConfig, prompt: str, cache: ResponseCache | None = 
 
     def call() -> str:
         if config.is_mock:
-            _mock_maybe_fail(config.model_id, prompt)
+            _mock_maybe_fail(config.model_id)
             return mock_chat_reply(config.model_id, prompt)
         data = _post(config, {"model": config.model_id,
                               "messages": [{"role": "user", "content": prompt}],
@@ -541,7 +515,7 @@ def embed(config: ProviderConfig, text: str, cache: ResponseCache | None = None,
 
     def call() -> np.ndarray:
         if config.is_mock:
-            _mock_maybe_fail(config.model_id, text)
+            _mock_maybe_fail(config.model_id)
             return _vector(mock_embed_vector(config.model_id, text))
         data = _post(config, {"model": config.model_id, "input": text}, _conns)
         try:

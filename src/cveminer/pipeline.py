@@ -343,10 +343,17 @@ def _ingest_records(config: PipelineConfig) -> tuple[list[corpus.CveRecord], lis
 
 
 class _Run:
-    """One run's stage records, artifact values and lazily opened resources."""
+    """One run's stage records, artifact values and lazily opened resources.
+
+    The template and term files the config names are read up front, so a
+    missing one fails the run before it writes or bills anything.
+    """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
+        self.hwsw_template = classifier.load_template("hwsw", config.template_path)
+        self.stopwords = _load_terms(config.stopwords_path, default_stopwords)
+        self.blocklist = _load_terms(config.blocklist_path, default_blocklist)
         self.outdir = Path(config.output_dir)
         self.stages: list[dict] = []         # this run's manifest records
         self.counts: dict[str, dict] = {}    # stage name -> its counts
@@ -387,18 +394,6 @@ class _Run:
         loaded = "cache" in vars(self)
         return {"cache_torn_bytes": self.cache.torn_bytes if loaded else 0,
                 "cache_skipped_lines": self.cache.skipped_lines if loaded else 0}
-
-    @cached_property
-    def hwsw_template(self) -> str:
-        return classifier.load_template("hwsw", self.config.template_path)
-
-    @cached_property
-    def stopwords(self) -> frozenset[str]:
-        return _load_terms(self.config.stopwords_path, default_stopwords)
-
-    @cached_property
-    def blocklist(self) -> frozenset[str]:
-        return _load_terms(self.config.blocklist_path, default_blocklist)
 
     @cached_property
     def matrix(self) -> vectors.EmbeddingMatrix:
@@ -611,8 +606,8 @@ _STAGE_TABLE = (
         "learning_rate": c.learning_rate, "seed": c.seed, "normalize": c.normalize},
           ("embeddings.jsonl", "assignments.jsonl"), _project),
     Stage("report", lambda c, run: {"m": c.m},
-          ("ngram_profiles.json", "topic_summaries.json", "representatives.json",
-           "coords.jsonl", "classify_failures.jsonl"), _report),
+          ("ngram_profiles.json", "topic_summaries.json", "blocked_labels.json",
+           "representatives.json", "coords.jsonl", "classify_failures.jsonl"), _report),
 )
 
 STAGES = tuple(stage.name for stage in _STAGE_TABLE)
@@ -627,6 +622,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
     if until is not None and until not in STAGES:
         raise ValueError(f"unknown stage {until!r}")
     outdir = Path(config.output_dir)
+    run = _Run(config)
     with _Lock(outdir):
         for stale in outdir.glob("*" + _PARTIAL):  # left by a run killed mid-write
             stale.unlink()
@@ -637,11 +633,10 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
             previous = {s["name"]: s for s in doc.get("stages", [])}
         if config.dry_run:
             records, _ = _ingest_records(config)
-            template = classifier.load_template("hwsw", config.template_path)
             planned = {
                 "classify_calls": len(records),
                 "classify_prompt_chars": sum(
-                    len(classifier.build_hwsw_prompt(template, r)) for r in records),
+                    len(classifier.build_hwsw_prompt(run.hwsw_template, r)) for r in records),
                 "embed_calls_upper_bound": len(records),
                 "embed_chars_upper_bound": sum(len(r.description) for r in records),
                 "summarize_calls": config.k if config.k is not None else "chosen by elbow",
@@ -649,7 +644,6 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
             }
             # the previous run's files stay on disk, so its records stay too
             return _write_manifest(config, list(previous.values()), planned=planned)
-        run = _Run(config)
         dirty = False
         try:
             for stage in _STAGE_TABLE[:STAGES.index(until) + 1 if until else None]:
@@ -698,6 +692,7 @@ def run_validate(config: PipelineConfig, fixture_paths: list[str]) -> classifier
     Emits the per-model summary table, its CSV mirror, and the predictions.
     """
     outdir = Path(config.output_dir)
+    template = classifier.load_template("hwsw", config.template_path)
     with _Lock(outdir):
         by_id = {r.id: r for r in _ingest_records(replace(config, years=None))[0]}
 
@@ -718,7 +713,6 @@ def run_validate(config: PipelineConfig, fixture_paths: list[str]) -> classifier
                                 f"{', '.join(missing[:10])}")
 
         cache = gateway.ResponseCache(config.cache_path)
-        template = classifier.load_template("hwsw", config.template_path)
         try:
             predictions, failures = classifier.classify_corpus(
                 config.chat_provider, template, [lc.record for lc in labeled], cache=cache)

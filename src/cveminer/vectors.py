@@ -1,10 +1,11 @@
 """Embedding matrices: assembly, storage and normalization, in double precision.
 
 The layering is corpus, gateway, then vectors: ``embed_corpus`` stacks the
-read-only float64 arrays ``gateway.embed`` answers into a matrix.  Rows are
-stored with the response cache's codec (``gateway.encode_f64``): exact bit
-for bit, about half the size of shortest round-trip decimal, and decoded
-without building Python floats.
+read-only float64 arrays ``gateway.embed`` answers into a matrix, or raises
+``ProviderError`` as every failed provider call does.  Rows are stored with
+the response cache's codec (``gateway.encode_f64``): exact bit for bit,
+about half the size of shortest round-trip decimal, and decoded without
+building Python floats.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import gateway
 from .corpus import CveRecord
-from .errors import CveMinerError
+from .errors import CveMinerError, ProviderError
 
 
 @dataclass
@@ -99,34 +100,26 @@ def load_matrix(data: bytes) -> EmbeddingMatrix:
     )
 
 
-class EmbedAborted(Exception):
-    """Embedding a corpus hit per-record failures, as (id, reason) pairs.
-
-    Successful rows were written to the response cache before the abort, so
-    a re-run only re-requests the failed records.
-    """
-
-    def __init__(self, failures: list[tuple[str, str]], completed: int):
-        super().__init__(f"{len(failures)} embeddings failed ({completed} completed and cached)")
-        self.failures = failures
-        self.completed = completed
-
-
 def embed_corpus(config: gateway.ProviderConfig, records: list[CveRecord],
                  cache=None) -> EmbeddingMatrix:
     """Embed record descriptions in order and assemble the matrix.
 
-    Row order equals record order.  Any per-record provider failure aborts
-    with EmbedAborted; completed rows are retained by the cache.
+    Row order equals record order.  If any record fails, no matrix is built:
+    ``ProviderError`` gives the number of failures, the number of rows
+    completed, the first three failed ids and the first one's error.  The
+    completed rows are in the cache, so a re-run asks the provider only for
+    the failed ones.
     """
     if not records:
         raise ValueError("no records to embed")
     if config.is_chat:
         raise ValueError(f"embed_corpus needs an embed provider, got {config.kind}")
     items = gateway.run_batch(config, [r.description for r in records], cache=cache)
-    failures = [(records[it.index].id, str(it.error)) for it in items if it.error is not None]
-    if failures:
-        raise EmbedAborted(failures, completed=len(items) - len(failures))
+    failed = [it for it in items if it.error is not None]
+    if failed:
+        ids = ", ".join(records[it.index].id for it in failed[:3]) + (", ..." if len(failed) > 3 else "")
+        raise ProviderError(None, f"{len(failed)} embeddings failed ({len(items) - len(failed)} "
+                                  f"completed and cached): {ids}; the first with {failed[0].error}")
 
     vectors = [it.value for it in items]
     dim = len(vectors[0])

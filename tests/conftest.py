@@ -1,14 +1,33 @@
+import threading
+
 import pytest
 
 from cveminer import corpus, gateway
 from cveminer.assets import fixture_bytes
 
 
-@pytest.fixture(autouse=True)
-def _fresh_flaky_state():
-    gateway.reset_flaky_state()
-    yield
-    gateway.reset_flaky_state()
+@pytest.fixture
+def failing_inputs(monkeypatch):
+    """`failing_inputs(marker, times=None)` makes the mock providers fail, with
+    a retryable 503, every attempt on an input that holds `marker`, or only
+    the first `times` attempts on each such input."""
+    def inject(marker: str, times: int | None = None) -> None:
+        lock = threading.Lock()
+        attempts: dict[str, int] = {}
+
+        def failing(real):
+            def reply(model_id, text):
+                if marker in text:
+                    with lock:
+                        seen = attempts[text] = attempts.get(text, 0) + 1
+                    if times is None or seen <= times:
+                        raise gateway._Transient(503, f"injected failure {seen}")
+                return real(model_id, text)
+            return reply
+
+        for name in ("mock_chat_reply", "mock_embed_vector"):
+            monkeypatch.setattr(gateway, name, failing(getattr(gateway, name)))
+    return inject
 
 
 @pytest.fixture(autouse=True)

@@ -24,7 +24,7 @@ def test_bundled_template_wording(hwsw):
 
 
 def test_prompt_layout(hwsw):
-    record = corpus.make_record("CVE-2021-0091", "some flaw", "t")
+    record = corpus.CveRecord("CVE-2021-0091", "some flaw", 2021, "t")
     prompt = build_hwsw_prompt(hwsw, record)
     assert "The following is CVE information:" in prompt
     assert prompt.index(hwsw) < prompt.index("The following is CVE information:")
@@ -32,12 +32,12 @@ def test_prompt_layout(hwsw):
 
 
 def test_prompt_deterministic(hwsw):
-    record = corpus.make_record("CVE-2021-0001", "x", "t")
+    record = corpus.CveRecord("CVE-2021-0001", "x", 2021, "t")
     assert build_hwsw_prompt(hwsw, record) == build_hwsw_prompt(hwsw, record)
 
 
 def test_prompt_payload_survives_quotes_and_newlines(hwsw):
-    record = corpus.make_record("CVE-2021-0001", 'line one\nwith "quotes" and \\slashes', "t")
+    record = corpus.CveRecord("CVE-2021-0001", 'line one\nwith "quotes" and \\slashes', 2021, "t")
     prompt = build_hwsw_prompt(hwsw, record)
     desc_line = [ln for ln in prompt.splitlines() if ln.startswith("DESC: ")]
     assert len(desc_line) == 1
@@ -46,7 +46,7 @@ def test_prompt_payload_survives_quotes_and_newlines(hwsw):
 
 
 def test_classify_and_embed_need_their_provider_role(chat_config, embed_config, hwsw):
-    records = [corpus.make_record("CVE-2021-0001", "x", "t")]
+    records = [corpus.CveRecord("CVE-2021-0001", "x", 2021, "t")]
     with pytest.raises(ValueError, match="classify_corpus needs a chat provider, got mock-embed"):
         classify_corpus(embed_config, hwsw, records)
     with pytest.raises(ValueError, match="embed_corpus needs an embed provider, got mock-chat"):
@@ -120,10 +120,10 @@ def test_classify_requires_records(chat_config, hwsw):
 def _mk_labeled(n_hw, n_sw):
     labeled = []
     for i in range(n_hw):
-        rec = corpus.make_record(f"CVE-2021-{1000+i}", "hw", "t")
+        rec = corpus.CveRecord(f"CVE-2021-{1000+i}", "hw", 2021, "t")
         labeled.append(corpus.LabeledCve(rec, 1))
     for i in range(n_sw):
-        rec = corpus.make_record(f"CVE-2022-{1000+i}", "sw", "t")
+        rec = corpus.CveRecord(f"CVE-2022-{1000+i}", "sw", 2022, "t")
         labeled.append(corpus.LabeledCve(rec, 0))
     return labeled
 

@@ -32,8 +32,9 @@ def test_parse_bad_id_is_rejected_with_reason():
 @pytest.mark.parametrize("bad_id", ["cve-2021-1234", "CVE-2021-123", "CVE-2021-12345678",
                                     "CVE-21-1234", "CVE-2021-1234x", "x CVE-2021-1234"])
 def test_id_pattern_is_strict(bad_id):
-    with pytest.raises(CveMinerError, match=re.escape(f"id pattern: {bad_id!r}")):
-        corpus.make_record(bad_id, "text")
+    records, rejects = corpus.parse_records(json.dumps({"id": bad_id, "description": "text"}).encode())
+    assert records == []
+    assert [r.reason for r in rejects] == ["id pattern"]
 
 
 def test_empty_description_rejected():
@@ -58,7 +59,7 @@ def test_records_plus_rejects_equals_entries():
 def test_round_trip_canonical():
     descriptions = ['quote " inside', "newline\nin text", "unicode café — dash", "plain",
                     "line\u2028separator", "paragraph\u2029separator", "next\x85line"]
-    records = [corpus.make_record(f"CVE-2021-{1000+i}", d, "rt") for i, d in enumerate(descriptions)]
+    records = [corpus.CveRecord(f"CVE-2021-{1000+i}", d, 2021, "rt") for i, d in enumerate(descriptions)]
     reparsed, rejects = corpus.parse_records(corpus.dump_records(records))
     assert rejects == []
     assert reparsed == records
@@ -120,7 +121,7 @@ def test_nvd_feed_bad_container():
 
 
 def _records_for_years(years):
-    return [corpus.make_record(f"CVE-{y}-{1000+i}", "d") for i, y in enumerate(years)]
+    return [corpus.CveRecord(f"CVE-{y}-{1000+i}", "d", y) for i, y in enumerate(years)]
 
 
 def test_filter_by_years_bounds():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cveminer import classifier, gateway
-from cveminer.corpus import make_record
+from cveminer.corpus import CveRecord
 from cveminer.errors import ProviderError
 from cveminer.gateway import (ProviderConfig, ResponseCache, cache_key,
                               complete, embed, mock_chat_reply,
@@ -226,7 +226,7 @@ def test_mock_chat_keyword_rule():
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
 def test_mock_chat_keeps_desc_line_whole_across_line_separators(separator):
     template = classifier.load_template("hwsw")
-    record = make_record("CVE-2021-1000", f"A flaw in the web form{separator}affecting the jtag port", "t")
+    record = CveRecord("CVE-2021-1000", f"A flaw in the web form{separator}affecting the jtag port", 2021)
     assert mock_chat_reply("mock-hwsw", classifier.build_hwsw_prompt(template, record)) == "1"
 
 
@@ -262,16 +262,18 @@ def test_complete_warm_cache_short_circuits(tmp_path, chat_config, embed_config,
 
 @pytest.mark.parametrize("op", ["complete", "embed"])
 def test_failure_after_retries_raises_and_leaves_cache_unchanged(tmp_path, op, chat_config,
-                                                                 embed_config, monkeypatch):
+                                                                 embed_config, monkeypatch,
+                                                                 failing_inputs):
     fn, config = (complete, chat_config) if op == "complete" else (embed, embed_config)
     path = tmp_path / "c.jsonl"
     cache = ResponseCache(path)
     fn(config, "DESC: spi flash", cache=cache)
     before = path.read_bytes()
+    failing_inputs("broken")
     slept = []
     with monkeypatch.context() as patch, pytest.raises(ProviderError):
         patch.setattr(gateway.time, "sleep", slept.append)
-        fn(config, "DESC: spi flash mock::fail", cache=cache)
+        fn(config, "DESC: spi flash broken", cache=cache)
     cache.close()
     assert len(slept) == config.retry_limit  # every retry was spent
     assert path.read_bytes() == before
@@ -433,9 +435,10 @@ def test_run_batch_bills_nfc_equivalent_inputs_once(tmp_path, monkeypatch):
     assert len(cache) == 1
 
 
-def test_run_batch_duplicates_share_the_error(chat_config):
+def test_run_batch_duplicates_share_the_error(chat_config, failing_inputs):
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
-    bad = f"DESC: {gateway.TEXT_FAIL_MARKER}"
+    failing_inputs("broken")
+    bad = "DESC: broken"
     items = run_batch(config, [bad, "DESC: ok", bad])
     assert items[0].error is items[2].error and isinstance(items[2].error, ProviderError)
     assert items[1].error is None and items[2].index == 2
@@ -491,27 +494,30 @@ def test_run_batch_stress_each_distinct_input_once(tmp_path, monkeypatch):
     assert len(ResponseCache(path)) == 100
 
 
-def test_run_batch_isolates_item_failures(chat_config):
-    prompts = ["DESC: one", f"DESC: two {gateway.TEXT_FAIL_MARKER}", "DESC: three"]
+def test_run_batch_isolates_item_failures(chat_config, failing_inputs):
+    failing_inputs("broken")
+    prompts = ["DESC: one", "DESC: two broken", "DESC: three"]
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
     items = run_batch(config, prompts)
     assert items[0].error is None and items[2].error is None
     assert isinstance(items[1].error, ProviderError)
 
 
-def test_zero_retries_flaky_fails_once():
+def test_zero_retries_fail_an_input_that_fails_once(failing_inputs):
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
-    items = run_batch(config, ["DESC: x mock::flaky1"])
+    failing_inputs("flaky", times=1)
+    items = run_batch(config, ["DESC: x flaky"])
     assert isinstance(items[0].error, ProviderError)
 
 
-def test_retry_recovers_flaky_and_counts_attempts(monkeypatch):
+def test_retry_recovers_an_input_that_fails_three_times(monkeypatch, failing_inputs):
     config = ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=3)
     monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.001)
+    failing_inputs("flaky", times=3)
     slept = []
     with monkeypatch.context() as patch:
         patch.setattr(gateway.time, "sleep", slept.append)
-        result = complete(config, "DESC: y mock::flaky3")
+        result = complete(config, "DESC: y flaky")
     assert result.text == "0"
     assert result.attempts == 4 <= config.retry_limit + 1
     # retry k waits uniform(0, BACKOFF_BASE_S * 2^(k-1)), read when the call runs
@@ -632,13 +638,14 @@ def test_remote_chat_404_is_not_retried():
         assert len(script.requests) == 1
 
 
-def test_remote_timeout_becomes_timeout_error():
+def test_remote_timeout_becomes_provider_error():
     script = _Script([(200, _chat_payload("1"), 1.0)] * 2)
     with _serve(script) as url:
         config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
                                 timeout=0.2, retry_limit=1)
-        with pytest.raises(TimeoutError):
+        with pytest.raises(ProviderError, match="timeout") as err:
             complete(config, "p")
+        assert err.value.status is None
 
 
 def test_remote_embed_happy_path():

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import cveminer
-from cveminer import gateway, pipeline
+from cveminer import corpus, gateway, pipeline
 from cveminer.assets import fixture_bytes
 from cveminer.cli import main as cli_main
 from cveminer.errors import CveMinerError
@@ -240,6 +241,51 @@ def test_pipeline_sends_empty_and_blocked_labels_to_review(tmp_path, monkeypatch
     assert tree_bytes(tmp_path / "rerun") == tree_bytes(out)
 
 
+def test_pipeline_report_follows_a_change_of_blocked_labels_alone(tmp_path, monkeypatch):
+    # every summary label is blocked, by another term per chat model, so the
+    # topics stage rewrites blocked_labels.json and nothing else the report reads
+    real = gateway.mock_chat_reply
+    monkeypatch.setattr(gateway, "mock_chat_reply", lambda model_id, prompt: (
+        ("adobe label" if model_id == "mock-other" else "acer label")
+        if "\nKeywords: " in prompt else real(model_id, prompt)))
+    run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    other = PipelineConfig.from_dict(write_config(tmp_path, **{"providers.chat.model_id": "mock-other"}))
+    run_pipeline(other, until="topics")
+    manifest = run_pipeline(other)
+    assert [s["status"] for s in manifest["stages"]] == ["cached"] * 7 + ["computed"]
+    out = tmp_path / "out"
+    labels = {b["label"] for b in json.loads((out / "blocked_labels.json").read_text(encoding="utf-8"))}
+    queue = {q["raw"] for q in json.loads((out / "review_queue.json").read_text(encoding="utf-8"))}
+    assert labels == queue == {"adobe label"}
+
+
+def test_every_artifact_a_stage_reads_is_a_declared_input(tmp_path, monkeypatch):
+    reads: dict[str, set] = {name: set() for name in STAGES}
+    running = []
+    real_get = pipeline._Run.get
+
+    def get(run, name):
+        reads[running[-1]].add(name)
+        return real_get(run, name)
+
+    def traced(stage):
+        def fn(run):
+            running.append(stage.name)
+            return stage.fn(run)
+        return replace(stage, fn=fn)
+
+    monkeypatch.setattr(pipeline._Run, "get", get)
+    monkeypatch.setattr(pipeline, "_STAGE_TABLE", tuple(map(traced, pipeline._STAGE_TABLE)))
+    config = PipelineConfig.from_dict(write_config(tmp_path))
+    # a split run: the second half parses what the first half wrote
+    written = {s["name"]: set(s["outputs"]) for s in run_pipeline(config, until="cluster")["stages"]}
+    written.update((s["name"], set(s["outputs"])) for s in run_pipeline(config)["stages"])
+    assert running == list(STAGES)
+    for stage in pipeline._STAGE_TABLE:
+        assert reads[stage.name] <= set(stage.inputs) | written[stage.name], stage.name
+    assert all(reads[name] for name in STAGES[1:])
+
+
 def test_pipeline_cached_rerun_never_opens_response_cache(tmp_path, monkeypatch):
     config = PipelineConfig.from_dict(write_config(tmp_path))
     run_pipeline(config)
@@ -424,7 +470,7 @@ PINNED_STAGE_DIGESTS = {
         "topics": "fbaa0be8b79021c3ab3d1c6a714d8f9bb7cd5f1892d98f2b4929ea0e05c57369",
         "representatives": "a2dfcb8d8a051e7e0b77af82e86bf8d5e04023a086a5ba6cf74a84507acbf16d",
         "project": "53dedbe1f793359c8e5cb77e873f35e303a4a1974985a6a458c3988bed861ef0",
-        "report": "75155d30571acf52d3a4ddb7ef61b1c33fa84295147b9fb629b58227983996c6"}),
+        "report": "aea0af8638f11ab9e087aebcd04c442a2b15edd965bcd2e0bf2df4e50040ab4d"}),
     "perfbench": ("ba9732f069430e48", {
         "ingest": "939aa85d1f3ba5785c9101abbd4e3a870777b62ca6ffeb4211e78fd64d74d841",
         "classify": "8487c33d9a539d13cff0d846ad90bd2dc0edffdffc64fee9506ffa5b956dd79d",
@@ -433,7 +479,7 @@ PINNED_STAGE_DIGESTS = {
         "topics": "fbaa0be8b79021c3ab3d1c6a714d8f9bb7cd5f1892d98f2b4929ea0e05c57369",
         "representatives": "793f212131e2997b5076b25b71177596b7070c1dafcc7c932259f93fdc74a775",
         "project": "e35821a0675bccb15fb254c89690366d0191be3014892b559bc4957e2ea4c9c3",
-        "report": "42386c2d9649928f94b11b5a6728b059a8dd21bcb8336bb4ab4c98610ff61219"}),
+        "report": "73b252d6320510a611f7a70fc516244eaade9607b944ad3670f00b521d6a7be4"}),
 }
 
 
@@ -776,6 +822,32 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     # the elbow range is checked only when the elbow chooses K
     assert PipelineConfig.from_dict(write_config(
         tmp_path, **{"clustering.k": 3.0, "clustering.elbow_range": [5, 2]})).k == 3
+
+
+@pytest.mark.parametrize("key", ["classifier.template_path", "topics.stopwords_path",
+                                 "topics.blocklist_path"])
+def test_cli_missing_named_file_exits_before_any_work(tmp_path, capsys, key):
+    config = _config_file(tmp_path, **{key: str(tmp_path / "absent.txt")})
+    _, hw, _ = _bench_paths(tmp_path)
+    commands = [["pipeline"], ["ingest"], ["pipeline", "--dry-run"]]
+    if key == "classifier.template_path":
+        commands.append(["validate", "--fixture", str(hw)])
+    for command in commands:
+        capsys.readouterr()
+        assert cli_main([*command, "--config", str(config)]) == 2
+        assert "absent.txt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
+def test_cli_embed_failure_exits_3_naming_the_failed_ids(tmp_path, capsys):
+    config = _config_file(tmp_path, **{"providers.embed.model_id": "mock-fail-embed-64",
+                                       "providers.embed.retry_limit": 0})
+    assert cli_main(["pipeline", "--config", str(config)]) == 3
+    hardware = corpus.parse_records((tmp_path / "out" / "hardware.jsonl").read_bytes())[0]
+    err = capsys.readouterr().err
+    ids = ", ".join(r.id for r in hardware[:3])
+    assert (f"{len(hardware)} embeddings failed (0 completed and cached): {ids}, ...; "
+            "the first with provider error (status=503)") in err
 
 
 def test_cli_exit_code_data_error(tmp_path):

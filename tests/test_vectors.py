@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from cveminer import gateway, vectors
-from cveminer.corpus import make_record
-from cveminer.errors import CveMinerError
+from cveminer.corpus import CveRecord
+from cveminer.errors import CveMinerError, ProviderError
 from cveminer.gateway import ProviderConfig, ResponseCache, decode_f64, encode_f64
-from cveminer.vectors import (EmbedAborted, EmbeddingMatrix, dump_matrix, embed_corpus,
-                              load_matrix, normalize_matrix)
+from cveminer.vectors import (EmbeddingMatrix, dump_matrix, embed_corpus, load_matrix,
+                              normalize_matrix)
 
 
 def test_vector_invariants(embed_config):
@@ -82,7 +82,7 @@ def test_normalize_matrix():
 
 
 def _records(n):
-    return [make_record(f"CVE-2021-{1000+i}", f"record body {i}", "t") for i in range(n)]
+    return [CveRecord(f"CVE-2021-{1000+i}", f"record body {i}", 2021, "t") for i in range(n)]
 
 
 def test_embed_corpus_shape_and_order(embed_config):
@@ -98,18 +98,17 @@ def test_embed_corpus_empty():
         embed_corpus(ProviderConfig(kind="mock-embed", model_id="m-64"), [])
 
 
-def test_embed_corpus_abort_then_cache_resume(tmp_path, monkeypatch):
+def test_embed_corpus_abort_then_cache_resume(tmp_path, monkeypatch, failing_inputs):
     config = ProviderConfig(kind="mock-embed", model_id="mock-embed-64",
                             retry_limit=0, max_parallel=1)
     cache = ResponseCache(tmp_path / "c.jsonl")
     records = _records(5)
-    flaky = records[2]
-    records[2] = make_record(flaky.id, flaky.description + " mock::flaky1", "t")
+    failing_inputs(records[2].description, times=1)
 
-    with pytest.raises(EmbedAborted) as err:
+    with pytest.raises(ProviderError) as err:
         embed_corpus(config, records, cache=cache)
-    assert err.value.completed == 4
-    assert [cve_id for cve_id, _ in err.value.failures] == [records[2].id]
+    assert str(err.value).endswith(f"1 embeddings failed (4 completed and cached): {records[2].id}; "
+                                   "the first with provider error (status=503): injected failure 1")
 
     calls = []
     real = gateway.mock_embed_vector
