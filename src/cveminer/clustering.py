@@ -13,12 +13,13 @@ shared by every restart of an elbow scan or a best-of fit.  With no more
 rows than dimensions (n <= dim, as with contextual embeddings), the Gram
 matrix G = rows @ rows.T is held too and the steps run in Gram space, by the
 kernel k-means identity ||x - mean(S)||^2 = G_xx - 2 mean_s G_xs +
-mean_st G_st: K-means++ reads each D^2 update from a row of G, and every
-Lloyd step after the first takes its distances and objective from one
-(k, n) x (n, n) product; the (k, dim) centroids are built only when an exact
-fallback needs them.  With n > dim, K-means++ takes one GEMV per chosen row
-and each Lloyd iteration one GEMM for the distances and one for the centroid
-sums.
+mean_st G_st: K-means++ reads each D^2 update from a row of G, a best-of
+fit's first Lloyd step reads its products with the K-means++ rows from their
+columns of G, and every later step takes its distances and objective from
+one (k, n) x (n, n) product; the (k, dim) centroids are built only when an
+exact fallback needs them.  With n > dim, K-means++ takes one GEMV per
+chosen row and each Lloyd iteration one GEMM for the distances and one for
+the centroid sums.
 
 A fit's centroids and objective are recomputed exactly from its final
 assignment, so the objectives that pick between restarts (and with them the
@@ -153,10 +154,11 @@ def _nearest_centroid(canon: _Canonical, means: _Means) -> np.ndarray:
 
 
 def kmeanspp_init(matrix: EmbeddingMatrix, k: int, seed: int,
-                  _canon: _Canonical | None = None) -> np.ndarray:
+                  _canon: _Canonical | None = None, _indices: bool = False) -> np.ndarray:
     """Seeded K-means++ seeding: D^2-weighted sampling of k rows.
 
-    Returns the (k, dim) array of chosen rows.  Deterministic for a given
+    Returns the (k, dim) array of chosen rows, or with `_indices` their
+    positions among the canonical rows.  Deterministic for a given
     (matrix content, k, seed) regardless of row order.
     """
     n = len(matrix)
@@ -185,7 +187,7 @@ def kmeanspp_init(matrix: EmbeddingMatrix, k: int, seed: int,
         chosen.append(idx)
         d2 = np.minimum(d2, _sq_distances_to_row(canon, idx))
         d2[idx] = 0.0
-    return canon.rows[chosen]
+    return np.array(chosen) if _indices else canon.rows[chosen]
 
 
 def _repair_empty(assign: np.ndarray, point_d2: np.ndarray, k: int) -> None:
@@ -208,7 +210,8 @@ def _repair_empty(assign: np.ndarray, point_d2: np.ndarray, k: int) -> None:
 
 def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
           max_iter: int = 300, tol: float = 1e-6, seed: int | None = None,
-          _canon: _Canonical | None = None, _exact: bool = True) -> ClusterModel:
+          _canon: _Canonical | None = None, _exact: bool = True,
+          _init_rows: np.ndarray | None = None) -> ClusterModel:
     """Alternate assignment/update steps until the objective stalls.
 
     Each iteration takes its distances and centroid norms from one product
@@ -219,7 +222,9 @@ def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
     distance), so every centroid equals the mean of its assigned rows and
     `wcss` the exact objective.  With `_exact=False` that recompute is left
     to `_make_exact`: `centroids` is None and `wcss` the norm-derived
-    objective.
+    objective.  `_init_rows` names the canonical rows that `init_centroids`
+    copies, so that with the Gram matrix held the first step reads their
+    products from G.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -233,6 +238,8 @@ def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
     total_sq = float(canon.sq_norms.sum())
 
     means = _Means(canon, full=init_centroids.copy())
+    if _init_rows is not None and canon.gram is not None:
+        means.products = canon.gram[:, _init_rows]
     history: list[float] = []
     prev = np.inf
     wcss = 0.0
@@ -291,9 +298,11 @@ def fit_best_of(matrix: EmbeddingMatrix, k: int, seed: int, restarts: int = 8,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     canon = _canon if _canon is not None else _canonical(matrix)
-    runs = [lloyd(matrix, kmeanspp_init(matrix, k, seed + i, _canon=canon),
-                  max_iter=max_iter, tol=tol, seed=seed + i, _canon=canon, _exact=False)
-            for i in range(restarts)]
+    runs = []
+    for i in range(restarts):
+        chosen = kmeanspp_init(matrix, k, seed + i, _canon=canon, _indices=True)
+        runs.append(lloyd(matrix, canon.rows[chosen], max_iter=max_iter, tol=tol, seed=seed + i,
+                          _canon=canon, _exact=False, _init_rows=chosen))
     cutoff = min(run.wcss for run in runs) + NEAR_TIE * float(canon.sq_norms.sum())
     finalists = [_make_exact(canon, run) for run in runs if run.wcss <= cutoff]
     return min(finalists, key=lambda run: run.wcss)  # min keeps the first of equals

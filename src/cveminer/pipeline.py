@@ -38,6 +38,11 @@ when the run ends.  The manifest's ``cache_torn_bytes`` and
 ``cache_skipped_lines`` count the torn last line's bytes and the bad lines
 the run dropped from it (see ``gateway.ResponseCache``): 0 when the cache was
 clean or the run never loaded it.  No artifact carries those numbers.
+
+Every stage runs on one BLAS thread (``projection.one_blas_thread``), so the
+artifacts do not depend on the host's default thread count.  The manifest's
+``blas`` names the function that set it and the count it replaced, or holds
+nulls when numpy's BLAS exports no known one.
 """
 
 from __future__ import annotations
@@ -314,18 +319,16 @@ def _effective_perplexity(configured: float, n: int) -> float:
     return min(configured, (n - 1) / 3.0 - 1e-9)
 
 
-def _write_manifest(config: PipelineConfig, stages: list[dict], planned: dict | None = None,
-                    cache_health: dict | None = None) -> dict:
+def _write_manifest(config: PipelineConfig, stages: list[dict], **fields) -> dict:
+    """Write the manifest: the run's identity, its stage records and `fields`."""
     doc = {
         "run_id": _digest_params(config.identity())[:16],
         "seed": config.seed,
         "config": config.identity(),
         "created_at": _utcnow(),
         "stages": stages,
+        **fields,
     }
-    if planned is not None:
-        doc["planned"] = planned
-    doc.update(cache_health or {})
     _write(Path(config.output_dir) / "manifest.json", _json_bytes(doc))
     return doc
 
@@ -623,7 +626,8 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
         raise ValueError(f"unknown stage {until!r}")
     outdir = Path(config.output_dir)
     run = _Run(config)
-    with _Lock(outdir):
+    # every stage runs on one BLAS thread: see projection.one_blas_thread
+    with _Lock(outdir), projection.one_blas_thread() as blas:
         for stale in outdir.glob("*" + _PARTIAL):  # left by a run killed mid-write
             stale.unlink()
         manifest_path = outdir / "manifest.json"
@@ -671,7 +675,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
                 run.counts[stage.name] = record["counts"]
                 run.digests.update(record["outputs"])
                 if record["status"] == "computed":
-                    _write_manifest(config, run.stages, cache_health=run.cache_health())
+                    _write_manifest(config, run.stages, **run.cache_health(), blas=blas)
             if until is not None:
                 # later stages' files stay on disk, so keep their records: the
                 # next run can then reuse them, or delete what they no longer write
@@ -680,7 +684,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
         finally:
             if "cache" in vars(run):
                 run.cache.close()
-            doc = _write_manifest(config, run.stages, cache_health=run.cache_health())
+            doc = _write_manifest(config, run.stages, **run.cache_health(), blas=blas)
         return doc
 
 

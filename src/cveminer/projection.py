@@ -4,9 +4,14 @@ The implementation follows the canonical recipe: per-point Gaussian input
 kernels with bandwidths binary-searched to match the target perplexity,
 symmetrized joint affinities, a Student-t output kernel, and momentum
 gradient descent with an early exaggeration phase.  Gradients are computed
-exactly (O(n^2)), which is comfortable up to a few thousand points.  A
-fixed seed repeats a layout bit for bit only on the same CPU model and BLAS
-thread count: the GEMMs return other bits at 1 and 2 OpenBLAS threads.
+exactly (O(n^2)), which is comfortable up to a few thousand points.
+
+The GEMMs return other bits at 1 and 2 OpenBLAS threads, and t-SNE
+amplifies that difference, so ``tsne`` runs on one BLAS thread
+(``one_blas_thread``) and a fixed seed repeats a layout bit for bit on the
+same CPU model, whatever thread count the host defaults to.  When numpy's
+BLAS exports none of the known thread-count symbols, the layout follows
+that library's own thread count.
 
 The optimization schedule is fixed (van der Maaten & Hinton 2008): the
 input affinities are exaggerated x12 for the first 250 iterations, momentum
@@ -19,7 +24,7 @@ Everything runs on numpy kernels, with no per-row Python loop:
 
 * High-dimensional squared distances come from one GEMM
   (``|a|^2 + |b|^2 - 2 a.b``, clamped at 0) for the affinities and for
-  ``trustworthiness``; 2-D distances from ``np.subtract.outer``.
+  ``trustworthiness``; 2-D distances from broadcast differences.
 * The bandwidth bisection advances every row at once, and freezes each
   row as it converges.
 * Each gradient step does its n x n work in float32, in two buffers
@@ -35,6 +40,10 @@ Nothing here serializes: ``pipeline`` owns the format of ``coords.jsonl``.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import importlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +79,63 @@ class ProjectionResult:
     seed: int
     final_kl: float
     kl_trace: list[tuple[int, float]] = field(default_factory=list)
+
+
+# (get, set) names of the thread-count functions in the OpenBLAS builds that
+# numpy bundles or links against, tried in this order
+_BLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                           ("openblas_", "64_"), ("openblas_", "")))
+
+
+@functools.cache
+def _blas_threads():
+    """(set symbol's name, get, set) of the BLAS that numpy calls, or None.
+
+    Loading numpy's own extension module resolves symbols through the
+    libraries it links, so this finds the BLAS that numpy really uses.
+    """
+    for module in ("numpy._core._multiarray_umath",   # numpy 2
+                   "numpy.core._multiarray_umath"):   # numpy 1
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            break
+        except (ImportError, OSError):
+            pass
+    else:
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            # int get_num_threads(void); void set_num_threads(int)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return set_name, get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread, then restore the previous count.
+
+    Yields ``{"symbol", "replaced_threads"}``: the function that set the
+    count and the count it replaced, both None when numpy's BLAS exports
+    none of the known symbols (the block then runs at the library's own
+    count).  Nesting is harmless: the inner block replaces a count of 1.
+    The environment is left alone.
+    """
+    found = _blas_threads()
+    if found is None:
+        yield {"symbol": None, "replaced_threads": None}
+        return
+    name, get, set_ = found
+    before = get()
+    set_(1)
+    try:
+        yield {"symbol": name, "replaced_threads": before}
+    finally:
+        set_(before)
 
 
 def _sq_distances(rows: np.ndarray) -> np.ndarray:
@@ -167,9 +233,12 @@ def _gradient(p32: np.ndarray, coords: np.ndarray, exaggeration: float,
     n = len(coords)
     x = coords[:, 0].astype(np.float32)
     y = coords[:, 1].astype(np.float32)
-    np.subtract.outer(x, x, out=num)
+    # x_j - x_i squares to the same bits as x_i - x_j
+    num[...] = x
+    num -= x[:, None]
     np.square(num, out=num)
-    np.subtract.outer(y, y, out=pq)
+    pq[...] = y
+    pq -= y[:, None]
     np.square(pq, out=pq)
     num += pq
     num += 1.0
@@ -186,8 +255,11 @@ def _gradient(p32: np.ndarray, coords: np.ndarray, exaggeration: float,
     return 4.0 * (acc[:, 2:] * coords - acc[:, :2]), z
 
 
+@one_blas_thread()
 def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 0) -> ProjectionResult:
     """Project matrix rows to 2-D; deterministic for fixed inputs and seed.
+
+    Runs on one BLAS thread (see the module docstring).
 
     Early exaggeration multiplies the input affinities for the first
     EXAGGERATION_ITERS iterations; momentum switches from MOMENTUM_EARLY to

@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from cveminer import corpus, gateway
+from cveminer import corpus, gateway, projection
 from cveminer.assets import fixture_bytes
 
 
@@ -51,3 +51,16 @@ def chat_config():
 @pytest.fixture
 def embed_config():
     return gateway.ProviderConfig(kind="mock-embed", model_id="mock-embed-64", max_parallel=4)
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of the BLAS thread count numpy uses, restored after the test;
+    the test is skipped when numpy's BLAS exports no known symbol for it."""
+    found = projection._blas_threads()
+    if found is None:
+        pytest.skip("numpy's BLAS exports no known thread-count symbol")
+    _, get, set_ = found
+    before = get()
+    yield get, set_
+    set_(before)

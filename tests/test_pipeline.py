@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cveminer
-from cveminer import corpus, gateway, pipeline
+from cveminer import corpus, gateway, pipeline, projection
 from cveminer.assets import fixture_bytes
 from cveminer.cli import main as cli_main
 from cveminer.errors import CveMinerError
@@ -80,6 +80,36 @@ def test_pipeline_counts_and_artifacts(tmp_path):
     assert not (outdir / ".lock").exists()
     model_doc = json.loads((outdir / "cluster_model.json").read_text(encoding="utf-8"))
     assert by_name["cluster"]["counts"]["converged"] is model_doc["converged"] is True
+
+
+def test_pipeline_manifest_records_the_blas_pin(tmp_path, blas_threads):
+    get, set_ = blas_threads
+    set_(2)
+    manifest = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    symbol = projection._blas_threads()[0]
+    assert symbol in {set_name for _, set_name in projection._BLAS_THREAD_SYMBOLS}
+    assert manifest["blas"] == {"symbol": symbol, "replaced_threads": 2}
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["blas"] == manifest["blas"]
+    assert get() == 2
+
+
+def test_pipeline_restores_the_blas_thread_count_when_a_stage_raises(tmp_path, blas_threads,
+                                                                      monkeypatch):
+    get, set_ = blas_threads
+    seen = []
+
+    def failing_tsne(*args, **kwargs):
+        seen.append(get())
+        raise CveMinerError("injected projection failure")
+
+    monkeypatch.setattr(projection, "tsne", failing_tsne)
+    set_(2)
+    with pytest.raises(CveMinerError, match="injected"):
+        run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    assert seen == [1]
+    assert get() == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["blas"]["replaced_threads"] == 2
 
 
 def test_pipeline_deterministic_across_runs(tmp_path):

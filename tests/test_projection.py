@@ -112,6 +112,57 @@ def test_gradient_matches_float64_reference(scale, exaggeration):
     assert abs(z - want_z) <= 1e-6 * want_z
 
 
+# prints the bytes' digests of a t-SNE layout and of a K-means fit
+_THREADS_CHILD = """
+import hashlib
+from matrices import blob_matrix
+from cveminer import clustering, projection
+m, _ = blob_matrix(0, 120, 5, 512, 0.3)
+r = projection.tsne(m, projection.TsneParams(perplexity=30.0, iterations=300), seed=0)
+c = clustering.fit_best_of(m, 5, seed=0)
+print(hashlib.sha256(r.coords.tobytes()).hexdigest(),
+      hashlib.sha256(c.assignments.tobytes() + c.centroids.tobytes()).hexdigest())
+"""
+
+
+def test_layout_and_clusters_do_not_depend_on_the_blas_thread_count():
+    # the input must stay this large: at 300 x 256 the layouts agree at 1 and
+    # 2 threads even when t-SNE runs at the library's default count
+    path = os.pathsep.join([str(Path(cveminer.__file__).parents[1]), str(Path(__file__).parent)])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        digests.append(out.stdout.split())
+    (coords_1, clusters_1), (coords_2, clusters_2) = digests
+    assert coords_1 == coords_2
+    assert clusters_1 == clusters_2
+
+
+def test_tsne_runs_on_one_blas_thread_and_restores_the_count(blas_threads, monkeypatch):
+    get, set_ = blas_threads
+    seen = []
+    gradient = projection._gradient
+
+    def counting_gradient(*args):
+        seen.append(get())
+        return gradient(*args)
+
+    monkeypatch.setattr(projection, "_gradient", counting_gradient)
+    set_(2)
+    tsne(random_matrix(2, 60, 16), small_params(iterations=20), seed=0)
+    assert seen == [1] * 20
+    assert get() == 2
+
+
+def test_one_blas_thread_without_a_known_symbol_sets_nothing(monkeypatch):
+    monkeypatch.setattr(projection, "_blas_threads", lambda: None)
+    with projection.one_blas_thread() as blas:
+        assert blas == {"symbol": None, "replaced_threads": None}
+
+
 def test_joint_affinities_symmetric_nonnegative():
     m = random_matrix(1, 30, 6)
     p = joint_affinities(conditional_affinities(m.rows, 8.0))
