@@ -30,6 +30,10 @@ SOFTWARE = 0
 
 _TEMPLATE_ASSETS = {"hwsw": "hwsw_prompt.txt", "summarize": "summarize_prompt.txt"}
 
+# The reason of a failure whose reply held no label; any other failure is a
+# provider error, which is not cached and so is asked again on the next run.
+UNPARSEABLE = "unparseable label"
+
 # A 0/1 that is not part of a longer number or word.
 _STANDALONE_BIT = re.compile(r"(?<![0-9A-Za-z])([01])(?![0-9A-Za-z])")
 
@@ -110,7 +114,7 @@ def classify_corpus(config: gateway.ProviderConfig, template: str,
         text = item.value.text
         label = parse_label(text)
         if label is None:
-            failures.append((record.id, f"unparseable label: {text!r}"))
+            failures.append((record.id, f"{UNPARSEABLE}: {text!r}"))
             continue
         predictions.append(Prediction(record.id, label, text, config.model_id))
     return predictions, failures

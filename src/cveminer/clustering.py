@@ -70,14 +70,18 @@ class _Canonical:
     """A matrix's rows in id-sorted order, with their squared norms."""
 
     order: np.ndarray          # canonical position -> matrix row
-    rows: np.ndarray           # (n, dim), C-contiguous
+    rows: np.ndarray           # (n, dim), C-contiguous; a read-only view when in id order
     sq_norms: np.ndarray       # (n,)
     gram: np.ndarray | None    # (n, n) rows @ rows.T, held only when n <= dim
 
 
 def _canonical(matrix: EmbeddingMatrix) -> _Canonical:
     order = np.argsort(np.array(matrix.ids))
-    rows = matrix.rows[order]
+    if np.array_equal(order, np.arange(len(order))):  # already in id order: no copy
+        rows = np.ascontiguousarray(matrix.rows).view()
+        rows.flags.writeable = False  # the caller's array
+    else:
+        rows = matrix.rows[order]
     # with n > dim, G would cost more to build and to multiply than the rows
     gram = rows @ rows.T if len(rows) <= rows.shape[1] else None
     return _Canonical(order, rows, np.einsum("ij,ij->i", rows, rows), gram)

@@ -12,7 +12,9 @@ retried and timed provider call, cache put); each supplies only its provider
 call and the type it returns.  A transient failure (a timeout, a failed
 connection, a status in RETRYABLE_STATUS) is retried up to ``retry_limit``
 times, with exponential backoff and full jitter: before retry k the calling
-thread sleeps a uniform random time in [0, BACKOFF_BASE_S * 2^(k-1)].
+thread sleeps a uniform random time in [0, BACKOFF_BASE_S * 2^(k-1)], or
+longer when the failed reply's ``Retry-After`` header gives more seconds
+(capped at RETRY_AFTER_CAP_S; the HTTP-date form is not read).
 A call that fails for good, a timeout included, raises ``ProviderError``.
 
 ``run_batch`` dispatches each distinct input once (inputs that are equal
@@ -96,6 +98,7 @@ MOCK_CLASS_WEIGHT = 3.0
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 BACKOFF_BASE_S = 0.5
+RETRY_AFTER_CAP_S = 60
 
 _jitter = random.Random()
 
@@ -284,10 +287,11 @@ class ResponseCache:
 class _Transient(Exception):
     """Internal: a failure the retry loop is allowed to absorb."""
 
-    def __init__(self, status, body):
+    def __init__(self, status, body, retry_after: int = 0):
         super().__init__(body)
         self.status = status
         self.body = body
+        self.retry_after = retry_after  # the least wait, in seconds, the server asked for
 
 
 def _mock_tokens(model_id: str) -> list[str]:
@@ -421,6 +425,7 @@ def _post(config: ProviderConfig, payload: dict, conns: dict | None = None) -> d
                 # a reply with Connection: close, or HTTP/1.0 without
                 # keep-alive, has closed the connection once it is read
                 status, data = resp.status, resp.read()
+                retry_after = resp.getheader("Retry-After", "").strip()
                 break
             except TimeoutError:
                 conn.close()
@@ -435,7 +440,8 @@ def _post(config: ProviderConfig, payload: dict, conns: dict | None = None) -> d
             for conn in pool.values():
                 conn.close()
     if status in RETRYABLE_STATUS:
-        raise _Transient(status, data.decode("utf-8", "replace"))
+        wait = int(retry_after) if retry_after.isascii() and retry_after.isdigit() else 0
+        raise _Transient(status, data.decode("utf-8", "replace"), min(wait, RETRY_AFTER_CAP_S))
     if status != 200:
         raise ProviderError(status, data.decode("utf-8", "replace"))
     try:
@@ -451,8 +457,8 @@ def _answer(config: ProviderConfig, kind: str, text: str, cache: ResponseCache |
     failures, whose answer is then put in the cache.
 
     Retry k first sleeps uniform(0, BACKOFF_BASE_S * 2^(k-1)), reading the
-    base when it runs.  Returns (value, attempts, latency); a hit makes no
-    call: 0 attempts.
+    base when it runs, or the failure's `retry_after` if that is longer.
+    Returns (value, attempts, latency); a hit makes no call: 0 attempts.
     """
     key = cache_key(kind, config.model_id, text)
     if cache is not None:
@@ -467,7 +473,8 @@ def _answer(config: ProviderConfig, kind: str, text: str, cache: ResponseCache |
         except _Transient as exc:
             if attempts > config.retry_limit:  # a timeout too: its body says "timeout"
                 raise ProviderError(exc.status, exc.body)
-            time.sleep(_jitter.uniform(0.0, BACKOFF_BASE_S * (2 ** (attempts - 1))))
+            time.sleep(max(_jitter.uniform(0.0, BACKOFF_BASE_S * (2 ** (attempts - 1))),
+                           exc.retry_after))
     latency = time.perf_counter() - start
     if cache is not None:
         cache.put(key, kind, config.model_id, value)

@@ -6,18 +6,25 @@ The stages are declared once, in order, in a stage table that
 run writes a manifest (``manifest.json``) listing the stages, the digests of
 their inputs, the artifacts they produced, and per-stage counts.  On a
 re-run, a stage whose inputs and existing outputs match the previous
-manifest is skipped; the first stage that must recompute forces all later
-stages to recompute as well.  A recomputed stage deletes every file of its
-previous record that it no longer writes, so a parameter change (a smaller
-K, say) leaves none of the earlier run's artifacts behind.  A run cut short
-by ``until`` keeps the previous records of the stages it did not reach, since
-their files stay on disk.
+manifest is skipped, unless its record counts provider errors: classify's
+failed calls are not cached, so they are asked again.  The first stage that
+must recompute forces all later stages to recompute as well.  A recomputed
+stage deletes every file of its previous record that it no longer writes, so
+a parameter change (a smaller K, say) leaves none of the earlier run's
+artifacts behind.  A run cut short by ``until`` keeps the previous records of
+the stages it did not reach, since their files stay on disk.
 
 Each consumed artifact is parsed at most once per run, and not at all when
 its producer computed in the same run: the value is handed forward, which is
-exact because every artifact format round-trips bit for bit.  The format of
-an artifact that only this module writes and reads (``assignments.jsonl``,
-``cluster_model.json``, ``elbow.json``, ``coords.jsonl``, ...) lives here.
+exact because every artifact format round-trips bit for bit.  A value is
+released once the last stage that declares it as an input has run (the
+table cut by ``until`` decides which is last), and the raw embeddings as soon
+as their normalized copy is built, so a run holds only what a later stage
+reads.  Each computed stage's record gives ``max_rss_mib``, the process's
+peak resident set once the stage is done; the stage whose figure first
+reaches the run's largest set the peak.  The format of an artifact that only
+this module writes and reads (``assignments.jsonl``, ``cluster_model.json``,
+``elbow.json``, ``coords.jsonl``, ...) lives here.
 
 Every artifact and the manifest are written to a temporary file beside the
 target and then renamed over it, so a run killed mid-write leaves the
@@ -52,6 +59,8 @@ import hashlib
 import json
 import math
 import os
+import resource
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -319,6 +328,20 @@ def _effective_perplexity(configured: float, n: int) -> float:
     return min(configured, (n - 1) / 3.0 - 1e-9)
 
 
+def _max_rss_mib() -> float:
+    """The process's peak resident set so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
+
+
+def _asks_again(record: dict) -> bool:
+    """Whether a stage record holds provider errors, which the next run asks
+    again; a classify record written before they were counted apart from
+    unparseable labels counts all its failures."""
+    counts = record.get("counts", {})
+    return counts.get("provider_errors", counts.get("failures", 0)) > 0
+
+
 def _write_manifest(config: PipelineConfig, stages: list[dict], **fields) -> dict:
     """Write the manifest: the run's identity, its stage records and `fields`."""
     doc = {
@@ -361,7 +384,7 @@ class _Run:
         self.stages: list[dict] = []         # this run's manifest records
         self.counts: dict[str, dict] = {}    # stage name -> its counts
         self.digests: dict[str, str] = {}    # artifact -> sha256 recorded by this run
-        self.values: dict[str, object] = {}  # artifact -> parsed or handed-forward value
+        self.values: dict[str, object] = {}  # artifact -> value, while a later stage reads it
         self.outputs: dict[str, str] = {}    # artifact -> sha256, for the computing stage
 
     def write(self, name: str, data: bytes, value=None) -> None:
@@ -400,9 +423,20 @@ class _Run:
 
     @cached_property
     def matrix(self) -> vectors.EmbeddingMatrix:
-        """The embeddings as clustering and projection see them."""
+        """The embeddings as clustering and projection see them; the normalized
+        copy takes the raw value's place, which no stage reads after it."""
         matrix = self.get("embeddings.jsonl")
-        return vectors.normalize_matrix(matrix) if self.config.normalize else matrix
+        if not self.config.normalize:
+            return matrix
+        del self.values["embeddings.jsonl"]
+        return vectors.normalize_matrix(matrix)
+
+    def keep_only(self, names: set[str]) -> None:
+        """Drop every value but those of `names`, the artifacts later stages read."""
+        for name in set(self.values) - names:
+            del self.values[name]
+        if "embeddings.jsonl" not in names:
+            vars(self).pop("matrix", None)  # built from that artifact
 
 
 def _parse_model(run: _Run, data: bytes) -> clustering.ClusterModel:
@@ -456,6 +490,7 @@ def _classify(run: _Run) -> dict:
     records = run.get("records.jsonl")
     predictions, failures = classifier.classify_corpus(
         run.config.chat_provider, run.hwsw_template, records, cache=run.cache)
+    unparseable = sum(why.startswith(classifier.UNPARSEABLE) for _, why in failures)
     hardware = classifier.hardware_subset(records, predictions)
     run.write("predictions.jsonl", classifier.dump_predictions(predictions))
     run.write("classify_failures.jsonl",
@@ -463,7 +498,8 @@ def _classify(run: _Run) -> dict:
     run.write("hardware.jsonl", corpus.dump_records(hardware), hardware)
     if not hardware:
         raise CveMinerError("no record was classified as hardware")
-    return {"predicted": len(predictions), "failures": len(failures), "hardware": len(hardware)}
+    return {"predicted": len(predictions), "failures": len(failures),
+            "provider_errors": len(failures) - unparseable, "hardware": len(hardware)}
 
 
 def _embed(run: _Run) -> dict:
@@ -648,14 +684,17 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
             }
             # the previous run's files stay on disk, so its records stay too
             return _write_manifest(config, list(previous.values()), planned=planned)
+        table = _STAGE_TABLE[:STAGES.index(until) + 1 if until else None]
+        # after table[i] has run, only the artifacts that later stages read are held
+        read_later = [set().union(*(s.inputs for s in table[i + 1:])) for i in range(len(table))]
         dirty = False
         try:
-            for stage in _STAGE_TABLE[:STAGES.index(until) + 1 if until else None]:
+            for stage, needed in zip(table, read_later):
                 input_digest = _digest_params({"params": stage.params(config, run),
                                                "files": run.input_digests(stage)})
                 prev = previous.get(stage.name)
                 if (not dirty and prev is not None and prev.get("input_digest") == input_digest
-                        and run.outputs_fresh(prev)):
+                        and not _asks_again(prev) and run.outputs_fresh(prev)):
                     record = dict(prev, status="cached")
                 else:
                     dirty = True
@@ -666,11 +705,13 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
                     record = {"name": stage.name, "status": "computed",
                               "input_digest": input_digest, "outputs": run.outputs,
                               "counts": counts, "started_at": started,
-                              "duration_s": round(time.perf_counter() - t0, 6)}
+                              "duration_s": round(time.perf_counter() - t0, 6),
+                              "max_rss_mib": _max_rss_mib()}
                     for rel in (prev or {}).get("outputs", {}):
                         # flat names only: a hand-edited manifest must not reach outside
                         if rel not in run.outputs and Path(rel).name == rel:
                             (outdir / rel).unlink(missing_ok=True)
+                run.keep_only(needed)
                 run.stages.append(record)
                 run.counts[stage.name] = record["counts"]
                 run.digests.update(record["outputs"])

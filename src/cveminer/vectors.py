@@ -67,13 +67,15 @@ MATRIX_FORMAT = "f64-base64"
 def dump_matrix(matrix: EmbeddingMatrix) -> bytes:
     """Serialize: header line {dim, model, normalized}, then one
     ``{"id", "f64"}`` line per row, bit-exact (see ``gateway.encode_f64``)."""
+    # bytes lines joined once: two copies of the file held at the peak, not three
     lines = [json.dumps({"dim": matrix.dim, "model": matrix.model_id,
-                         "normalized": matrix.normalized})]
+                         "normalized": matrix.normalized}).encode("utf-8") + b"\n"]
     for cve_id, row in zip(matrix.ids, matrix.rows):
         # the json.dumps layout, written by hand: base64 text needs no escaping,
         # and scanning it for escapes would cost more than encoding it
-        lines.append(f'{{"id": {json.dumps(cve_id)}, "f64": "{gateway.encode_f64(row)}"}}')
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        lines.append(f'{{"id": {json.dumps(cve_id)}, "f64": "{gateway.encode_f64(row)}"}}\n'
+                     .encode("utf-8"))
+    return b"".join(lines)
 
 
 def load_matrix(data: bytes) -> EmbeddingMatrix:

@@ -8,10 +8,10 @@ from cveminer.assets import fixture_bytes
 
 @pytest.fixture
 def failing_inputs(monkeypatch):
-    """`failing_inputs(marker, times=None)` makes the mock providers fail, with
-    a retryable 503, every attempt on an input that holds `marker`, or only
-    the first `times` attempts on each such input."""
-    def inject(marker: str, times: int | None = None) -> None:
+    """`failing_inputs(marker, times=None, status=503)` makes the mock
+    providers fail, with the retryable `status`, every attempt on an input
+    that holds `marker`, or only the first `times` attempts on each such input."""
+    def inject(marker: str, times: int | None = None, status: int = 503) -> None:
         lock = threading.Lock()
         attempts: dict[str, int] = {}
 
@@ -21,7 +21,7 @@ def failing_inputs(monkeypatch):
                     with lock:
                         seen = attempts[text] = attempts.get(text, 0) + 1
                     if times is None or seen <= times:
-                        raise gateway._Transient(503, f"injected failure {seen}")
+                        raise gateway._Transient(status, f"injected failure {seen}")
                 return real(model_id, text)
             return reply
 

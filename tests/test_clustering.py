@@ -425,3 +425,20 @@ def test_representatives_small_cluster_returns_all():
                          assignments=np.zeros(4, dtype=np.int64),
                          wcss=1.0, seed=None, iterations=1, converged=True)
     assert len(representatives(m, model, 10, "euclidean")[0]) == 4
+
+
+@pytest.mark.parametrize("n, dim", [(60, 200), (120, 24)])  # with and without the Gram matrix
+def test_id_sorted_rows_fit_as_permuted_ones_without_a_copy(n, dim):
+    for seed in range(5):
+        ordered = random_matrix(900 + seed, n, dim)  # ids in sorted order
+        before = ordered.rows.copy()
+        canon = _canonical(ordered)
+        assert np.shares_memory(canon.rows, ordered.rows) and not canon.rows.flags.writeable
+        shuffled = _shuffled(ordered, seed)
+        for k in (1, 3, 6):
+            a = fit_best_of(ordered, k, seed, restarts=3)
+            b = fit_best_of(shuffled, k, seed, restarts=3)
+            by_id = dict(zip(shuffled.ids, b.assignments))
+            assert np.array_equal(a.assignments, [by_id[i] for i in ordered.ids])
+            assert a.centroids.tobytes() == b.centroids.tobytes() and a.wcss == b.wcss
+        assert ordered.rows.tobytes() == before.tobytes() and ordered.rows.flags.writeable

@@ -563,12 +563,14 @@ def _serve(script):
             with script.lock:
                 script.requests.append({"path": self.path, "body": body,
                                         "auth": self.headers.get("Authorization")})
-                status, payload, delay = (script.responses.pop(0)
-                                          if script.responses else (500, {}, 0))
+                status, payload, delay, *headers = (script.responses.pop(0)
+                                                    if script.responses else (500, {}, 0))
             if delay:
                 time.sleep(delay)
             data = json.dumps(payload).encode()
             self.send_response(status)
+            for name, value in (headers[0] if headers else {}).items():
+                self.send_header(name, value)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
@@ -614,6 +616,33 @@ def test_remote_chat_retries_on_429_then_succeeds():
                                 timeout=5.0, retry_limit=3)
         result = complete(config, "p")
         assert result.text == "0" and result.attempts == 3
+
+
+def test_remote_retry_waits_what_retry_after_asks_capped(monkeypatch):
+    script = _Script([(429, {}, 0, {"Retry-After": "2"}), (503, {}, 0, {"Retry-After": "3600"}),
+                      (429, {}, 0, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                      (200, _chat_payload("1"), 0)])
+    slept = []
+    monkeypatch.setattr(gateway.time, "sleep", slept.append)
+    with _serve(script) as url:
+        config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
+                                timeout=5.0, retry_limit=3)
+        assert complete(config, "p").attempts == 4
+    # seconds are honoured up to 60; a date is not read, so the backoff (0 here) stands
+    assert slept == [2, 60, 0.0]
+
+
+def test_remote_retry_never_waits_less_than_the_backoff(monkeypatch):
+    script = _Script([(429, {}, 0, {"Retry-After": "2"}), (200, _chat_payload("1"), 0)])
+    slept = []
+    monkeypatch.setattr(gateway.time, "sleep", slept.append)
+    monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 10.0)
+    monkeypatch.setattr(gateway._jitter, "uniform", lambda low, high: high)
+    with _serve(script) as url:
+        config = ProviderConfig(kind="remote-chat", model_id="m", endpoint=url,
+                                timeout=5.0, retry_limit=3)
+        assert complete(config, "p").attempts == 2
+    assert slept == [10.0]
 
 
 def test_remote_chat_gives_up_after_retries():

@@ -57,6 +57,7 @@ def stripped_manifest(outdir: Path):
     for stage in doc["stages"]:
         stage.pop("started_at", None)
         stage.pop("duration_s", None)
+        stage.pop("max_rss_mib", None)
         stage.pop("status", None)
     return doc
 
@@ -314,6 +315,85 @@ def test_every_artifact_a_stage_reads_is_a_declared_input(tmp_path, monkeypatch)
     for stage in pipeline._STAGE_TABLE:
         assert reads[stage.name] <= set(stage.inputs) | written[stage.name], stage.name
     assert all(reads[name] for name in STAGES[1:])
+
+
+def test_cold_run_parses_no_artifact(tmp_path, monkeypatch):
+    parsed = []
+    monkeypatch.setattr(pipeline, "_PARSERS", {
+        name: lambda run, data, name=name, parse=parse: parsed.append(name) or parse(run, data)
+        for name, parse in pipeline._PARSERS.items()})
+    manifest = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    assert [s["status"] for s in manifest["stages"]] == ["computed"] * len(STAGES)
+    assert parsed == []
+
+
+def test_run_holds_only_values_a_later_stage_reads(tmp_path, monkeypatch):
+    runs, held = [], []
+
+    class Run(pipeline._Run):
+        def __init__(self, config):
+            super().__init__(config)
+            runs.append(self)
+
+    def traced(stage):
+        def fn(run):
+            held.append((stage.name, set(run.values), "matrix" in vars(run)))
+            return stage.fn(run)
+        return replace(stage, fn=fn)
+
+    monkeypatch.setattr(pipeline, "_Run", Run)
+    monkeypatch.setattr(pipeline, "_STAGE_TABLE", tuple(map(traced, pipeline._STAGE_TABLE)))
+    inputs = {stage.name: set(stage.inputs) for stage in pipeline._STAGE_TABLE}
+    config = PipelineConfig.from_dict(write_config(tmp_path))
+    # a split run: the first half computes, the second half parses what it wrote
+    for until, computed in (("cluster", STAGES[:4]), (None, STAGES[4:])):
+        held.clear()
+        run_pipeline(config, until=until)
+        table = STAGES[:STAGES.index(until) + 1] if until else STAGES
+        assert [name for name, _, _ in held] == list(computed)
+        for name, values, has_matrix in held:
+            read_later = set().union(*(inputs[n] for n in table[table.index(name):]))
+            assert values <= read_later, name
+            assert "embeddings.jsonl" in read_later or not has_matrix, name
+        assert runs[-1].values == {} and "matrix" not in vars(runs[-1])
+
+
+def test_pipeline_manifest_records_peak_memory_per_stage(tmp_path):
+    manifest = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    peaks = [s["max_rss_mib"] for s in manifest["stages"]]
+    assert len(peaks) == len(STAGES) and peaks == sorted(peaks) and peaks[0] > 1.0
+    assert all(b"max_rss_mib" not in data for data in tree_bytes(tmp_path / "out").values())
+
+
+def test_pipeline_asks_a_classify_provider_error_again(tmp_path, monkeypatch, failing_inputs):
+    real_chat, real_embed = gateway.mock_chat_reply, gateway.mock_embed_vector
+    config = PipelineConfig.from_dict(write_config(tmp_path))
+    victim = "CVE-2021-4100"  # a software record: the hardware set does not change
+    failing_inputs(victim, status=429)  # every attempt
+    first = run_pipeline(config)["stages"][1]
+    failures = (tmp_path / "out" / "classify_failures.jsonl").read_text(encoding="utf-8")
+    assert victim in failures and "status=429" in failures
+
+    calls = []
+    monkeypatch.setattr(gateway, "mock_chat_reply", lambda *a: calls.append(a[1]) or real_chat(*a))
+    monkeypatch.setattr(gateway, "mock_embed_vector", lambda *a: calls.append(a[1]) or real_embed(*a))
+    second = run_pipeline(config)["stages"][1]
+    assert second["status"] == "computed"
+    assert len(calls) == 1 and victim in calls[0]  # every answered record was a cache hit
+    assert (tmp_path / "out" / "classify_failures.jsonl").read_bytes() == b""
+    assert first["counts"]["failures"] == first["counts"]["provider_errors"] == 1
+    assert second["counts"]["failures"] == second["counts"]["provider_errors"] == 0
+    assert [s["status"] for s in run_pipeline(config)["stages"]] == ["cached"] * len(STAGES)
+
+
+def test_pipeline_keeps_an_unparseable_label_cached(tmp_path, monkeypatch):
+    real = gateway.mock_chat_reply
+    monkeypatch.setattr(gateway, "mock_chat_reply", lambda model_id, prompt: (
+        "maybe" if "CVE-2021-4100" in prompt else real(model_id, prompt)))
+    config = PipelineConfig.from_dict(write_config(tmp_path))
+    counts = run_pipeline(config)["stages"][1]["counts"]
+    assert (counts["failures"], counts["provider_errors"]) == (1, 0)
+    assert [s["status"] for s in run_pipeline(config)["stages"]] == ["cached"] * len(STAGES)
 
 
 def test_pipeline_cached_rerun_never_opens_response_cache(tmp_path, monkeypatch):
