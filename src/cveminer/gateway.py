@@ -26,8 +26,8 @@ line is built with ``json.encoder.encode_basestring``, the function
 ``json.dumps(..., ensure_ascii=False)`` itself calls for every string, so its
 bytes equal ``json.dumps`` of the same object.  A chat answer is stored as
 its text (``"value"``); an embedding as the base64 text of its little-endian
-float64 bytes (``"f64"``, ``encode_f64``, which ``vectors`` reuses for its
-artifact), which loads back as a read-only float64 array.
+float64 bytes (``"f64"``, ``encode_f64``), which loads back as a read-only
+float64 array.
 Lines written before that, holding the vector as a decimal ``"value"``
 list, still load and still count as answered.  A remote reply is checked
 in its provider call, and a cache line as it loads: chat content that is not

@@ -16,7 +16,13 @@ the stages it did not reach, since their files stay on disk.
 
 Each consumed artifact is parsed at most once per run, and not at all when
 its producer computed in the same run: the value is handed forward, which is
-exact because every artifact format round-trips bit for bit.  A value is
+exact because every artifact format round-trips bit for bit.  The parsed
+corpus is an input but no artifact: ingest hands it to classify, and a
+classify that recomputes after a cached ingest parses the corpus files again.
+Both stages take the corpus's digest (its files' digests, each file hashed
+once per run, with ``corpus.format`` and ``corpus.years``) as their input.
+The embeddings are stored as raw float64 (``vectors.dump_matrix``) and read
+back as a read-only view of the file's bytes.  A value is
 released once the last stage that declares it as an input has run (the
 table cut by ``until`` decides which is last), and the raw embeddings as soon
 as their normalized copy is built, so a run holds only what a later stage
@@ -368,6 +374,10 @@ def _ingest_records(config: PipelineConfig) -> tuple[list[corpus.CveRecord], lis
     return records, rejects
 
 
+CORPUS = "corpus"  # the parsed input records: an input of stages, but no artifact
+EMBEDDINGS = "embeddings.f64"
+
+
 class _Run:
     """One run's stage records, artifact values and lazily opened resources.
 
@@ -397,13 +407,20 @@ class _Run:
 
     def get(self, name: str):
         if name not in self.values:
-            self.values[name] = _PARSERS[name](self, (self.outdir / name).read_bytes())
+            self.values[name] = (_ingest_records(self.config)[0] if name == CORPUS else
+                                 _PARSERS[name](self, (self.outdir / name).read_bytes()))
         return self.values[name]
 
+    @cached_property
+    def corpus_digest(self) -> str:
+        """The parsed corpus's identity: its files' digests, format and years."""
+        config = self.config
+        return _digest_params({"format": config.corpus_format, "years": config.years,
+                               "files": [_digest_file(Path(p)) for p in config.corpus_paths]})
+
     def input_digests(self, stage: "Stage") -> list[str]:
-        if not stage.inputs:  # the first stage reads the corpus files themselves
-            return [_digest_file(Path(p)) for p in self.config.corpus_paths]
-        return [self.digests[name] for name in stage.inputs]
+        return [self.corpus_digest if name == CORPUS else self.digests[name]
+                for name in stage.inputs]
 
     def outputs_fresh(self, record: dict) -> bool:
         for rel, digest in record.get("outputs", {}).items():
@@ -425,17 +442,17 @@ class _Run:
     def matrix(self) -> vectors.EmbeddingMatrix:
         """The embeddings as clustering and projection see them; the normalized
         copy takes the raw value's place, which no stage reads after it."""
-        matrix = self.get("embeddings.jsonl")
+        matrix = self.get(EMBEDDINGS)
         if not self.config.normalize:
             return matrix
-        del self.values["embeddings.jsonl"]
+        del self.values[EMBEDDINGS]
         return vectors.normalize_matrix(matrix)
 
     def keep_only(self, names: set[str]) -> None:
         """Drop every value but those of `names`, the artifacts later stages read."""
         for name in set(self.values) - names:
             del self.values[name]
-        if "embeddings.jsonl" not in names:
+        if EMBEDDINGS not in names:
             vars(self).pop("matrix", None)  # built from that artifact
 
 
@@ -460,10 +477,9 @@ def _parse_coords(run: _Run, data: bytes):
 
 # artifact -> parse(run, data): the one place each consumed artifact is read
 _PARSERS = {
-    "records.jsonl": lambda run, data: corpus.parse_records(data)[0],
     "hardware.jsonl": lambda run, data: corpus.parse_records(data)[0],
     "classify_failures.jsonl": lambda run, data: [(d["id"], d["reason"]) for d in _parse_jsonl(data)],
-    "embeddings.jsonl": lambda run, data: vectors.load_matrix(data),
+    EMBEDDINGS: lambda run, data: vectors.load_matrix(data),
     "assignments.jsonl": lambda run, data: {d["id"]: d["cluster"] for d in _parse_jsonl(data)},
     "cluster_model.json": _parse_model,
     "ngram_profiles.json": lambda run, data: topics.load_profiles(data),
@@ -478,7 +494,7 @@ _PARSERS = {
 
 def _ingest(run: _Run) -> dict:
     records, rejects = _ingest_records(run.config)
-    run.write("records.jsonl", corpus.dump_records(records), records)
+    run.values[CORPUS] = records  # handed forward; classify re-reads the corpus otherwise
     run.write("rejects.jsonl", _jsonl_bytes(
         [{"index": r.index, "reason": r.reason, "raw": r.raw} for r in rejects]))
     run.write("yearly_counts.csv",
@@ -487,7 +503,7 @@ def _ingest(run: _Run) -> dict:
 
 
 def _classify(run: _Run) -> dict:
-    records = run.get("records.jsonl")
+    records = run.get(CORPUS)
     predictions, failures = classifier.classify_corpus(
         run.config.chat_provider, run.hwsw_template, records, cache=run.cache)
     unparseable = sum(why.startswith(classifier.UNPARSEABLE) for _, why in failures)
@@ -505,7 +521,7 @@ def _classify(run: _Run) -> dict:
 def _embed(run: _Run) -> dict:
     matrix = vectors.embed_corpus(run.config.embed_provider, run.get("hardware.jsonl"),
                                   cache=run.cache)
-    run.write("embeddings.jsonl", vectors.dump_matrix(matrix), matrix)
+    run.write(EMBEDDINGS, vectors.dump_matrix(matrix), matrix)
     return {"rows": len(matrix), "dim": matrix.dim}
 
 
@@ -608,8 +624,9 @@ def _report(run: _Run) -> dict:
 class Stage:
     """One pipeline step.
 
-    ``params(config, run)`` and the digests of the ``inputs`` artifacts decide
-    whether a recorded result is still fresh; ``fn(run)`` recomputes it.
+    ``params(config, run)`` and the digests of the ``inputs`` (artifacts, or
+    ``CORPUS``) decide whether a recorded result is still fresh; ``fn(run)``
+    recomputes it.
     """
 
     name: str
@@ -619,19 +636,20 @@ class Stage:
 
 
 _STAGE_TABLE = (
-    Stage("ingest", lambda c, run: {"format": c.corpus_format, "years": c.years},
-          (), _ingest),
+    # the marker makes ingest recompute once in a dir whose ingest wrote
+    # records.jsonl, a copy of the corpus, so that the file is deleted
+    Stage("ingest", lambda c, run: {"records_copy": False}, (CORPUS,), _ingest),
     Stage("classify", lambda c, run: {
         "provider": [c.chat_provider.kind, c.chat_provider.model_id, c.chat_provider.temperature],
         "template": _sha256(run.hwsw_template.encode("utf-8"))},
-          ("records.jsonl",), _classify),
+          (CORPUS,), _classify),
     Stage("embed", lambda c, run: {"provider": [c.embed_provider.kind, c.embed_provider.model_id],
                                    "format": vectors.MATRIX_FORMAT},
           ("hardware.jsonl",), _embed),
     Stage("cluster", lambda c, run: {
         "k": c.k, "elbow_range": list(c.elbow_range), "restarts": c.restarts,
         "max_iter": c.max_iter, "tol": c.tol, "normalize": c.normalize, "seed": c.seed},
-          ("embeddings.jsonl",), _cluster),
+          (EMBEDDINGS,), _cluster),
     Stage("topics", lambda c, run: {
         "r": c.r, "k": int(run.counts["cluster"]["k"]), "per_document": c.per_document,
         "stopwords": sorted(run.stopwords), "blocklist": sorted(run.blocklist),
@@ -639,11 +657,11 @@ _STAGE_TABLE = (
           ("hardware.jsonl", "assignments.jsonl"), _topics),
     Stage("representatives", lambda c, run: {
         "m": c.m, "metric": c.metric, "normalize": c.normalize},
-          ("embeddings.jsonl", "cluster_model.json", "assignments.jsonl"), _representatives),
+          (EMBEDDINGS, "cluster_model.json", "assignments.jsonl"), _representatives),
     Stage("project", lambda c, run: {
         "perplexity": c.perplexity, "iterations": c.tsne_iterations,
         "learning_rate": c.learning_rate, "seed": c.seed, "normalize": c.normalize},
-          ("embeddings.jsonl", "assignments.jsonl"), _project),
+          (EMBEDDINGS, "assignments.jsonl"), _project),
     Stage("report", lambda c, run: {"m": c.m},
           ("ngram_profiles.json", "topic_summaries.json", "blocked_labels.json",
            "representatives.json", "coords.jsonl", "classify_failures.jsonl"), _report),

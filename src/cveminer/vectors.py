@@ -2,10 +2,10 @@
 
 The layering is corpus, gateway, then vectors: ``embed_corpus`` stacks the
 read-only float64 arrays ``gateway.embed`` answers into a matrix, or raises
-``ProviderError`` as every failed provider call does.  Rows are stored with
-the response cache's codec (``gateway.encode_f64``): exact bit for bit,
-about half the size of shortest round-trip decimal, and decoded without
-building Python floats.
+``ProviderError`` as every failed provider call does.  The matrix is stored
+as one JSON header line (dim, model, normalized flag and the row ids) and
+then the rows as raw little-endian float64: exact bit for bit, written with
+one copy of the rows and loaded as a read-only view of the file's bytes.
 """
 
 from __future__ import annotations
@@ -59,43 +59,34 @@ def normalize_matrix(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     )
 
 
-# The row encoding of the embeddings artifact; the embed stage records it so
-# that a file in another encoding is rebuilt (from the cache) instead of read.
-MATRIX_FORMAT = "f64-base64"
+# The layout of the embeddings artifact; the embed stage records it so that a
+# file in another layout is rebuilt (from the cache) instead of read.
+MATRIX_FORMAT = "f64-raw"
 
 
 def dump_matrix(matrix: EmbeddingMatrix) -> bytes:
-    """Serialize: header line {dim, model, normalized}, then one
-    ``{"id", "f64"}`` line per row, bit-exact (see ``gateway.encode_f64``)."""
-    # bytes lines joined once: two copies of the file held at the peak, not three
-    lines = [json.dumps({"dim": matrix.dim, "model": matrix.model_id,
-                         "normalized": matrix.normalized}).encode("utf-8") + b"\n"]
-    for cve_id, row in zip(matrix.ids, matrix.rows):
-        # the json.dumps layout, written by hand: base64 text needs no escaping,
-        # and scanning it for escapes would cost more than encoding it
-        lines.append(f'{{"id": {json.dumps(cve_id)}, "f64": "{gateway.encode_f64(row)}"}}\n'
-                     .encode("utf-8"))
-    return b"".join(lines)
+    """Serialize: header line {dim, model, normalized, ids}, then the n x dim
+    rows as little-endian float64, row after row.  The header line is padded
+    with spaces to a multiple of 8 bytes, so the loaded rows are aligned."""
+    header = json.dumps({"dim": matrix.dim, "model": matrix.model_id,
+                         "normalized": matrix.normalized, "ids": matrix.ids}).encode("ascii")
+    header += b" " * (-(len(header) + 1) % 8) + b"\n"
+    return b"".join((header, np.ascontiguousarray(matrix.rows, dtype="<f8")))
 
 
 def load_matrix(data: bytes) -> EmbeddingMatrix:
-    lines = [ln for ln in data.decode("utf-8").splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix file")
-    header = json.loads(lines[0])
-    dim = int(header["dim"])
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    for line in lines[1:]:
-        obj = json.loads(line)
-        vec = gateway.decode_f64(obj["f64"])
-        if len(vec) != dim:
-            raise CveMinerError(f"row {obj.get('id')} has {len(vec)} values, expected {dim}")
-        ids.append(obj["id"])
-        rows.append(vec)
+    """The matrix `dump_matrix` wrote; its rows are a read-only view of `data`."""
+    end = data.find(b"\n")
+    if end < 0:
+        raise CveMinerError("matrix file has no header line")
+    header = json.loads(data[:end])
+    ids, dim = header["ids"], int(header["dim"])
+    if len(data) - end - 1 != 8 * len(ids) * dim:
+        raise CveMinerError(f"matrix body holds {len(data) - end - 1} bytes, expected "
+                            f"{8 * len(ids) * dim} for {len(ids)} rows x dim {dim}")
     return EmbeddingMatrix(
         ids=ids,
-        rows=np.array(rows, dtype=np.float64).reshape(len(ids), dim),
+        rows=np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(len(ids), dim),
         dim=dim,
         model_id=str(header["model"]),
         normalized=bool(header["normalized"]),

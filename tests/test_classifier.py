@@ -204,9 +204,10 @@ def test_predictions_round_trip_raw_line_separators():
     assert _parsed_lines(data) == _fields(preds)
 
 
-# Pinned at a release whose prompts and records.jsonl were written with
-# json.dumps: a change to either rendering re-bills every cached
-# classification, so it must fail here first.
+# Pinned at a release whose prompts and hardware.jsonl were written with
+# json.dumps: a change to the prompts' rendering re-bills every cached
+# classification, and one to the records' rendering recomputes every stage
+# after classify, so either must fail here first.
 MINI_PROMPT_KEYS_SHA256 = "d050f185df9645f6bedf4b194dbe6aa9b8698b9b599eb8d6d6762f519a569c46"
 MINI_RECORDS_SHA256 = "85db535569a7670f16130ecb514b7aba10359703b4d0cf1f7442237a019bade1"
 

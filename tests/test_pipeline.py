@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cveminer
-from cveminer import corpus, gateway, pipeline, projection
+from cveminer import clustering, corpus, gateway, pipeline, projection, vectors
 from cveminer.assets import fixture_bytes
 from cveminer.cli import main as cli_main
 from cveminer.errors import CveMinerError
@@ -71,14 +71,14 @@ def test_pipeline_counts_and_artifacts(tmp_path):
     assert by_name["embed"]["counts"] == {"rows": 24, "dim": 64}
     assert by_name["cluster"]["counts"]["k"] == by_name["topics"]["counts"]["profiles"]
     outdir = tmp_path / "out"
-    for name in ("records.jsonl", "predictions.jsonl", "hardware.jsonl",
-                 "embeddings.jsonl", "elbow.json", "cluster_model.json",
+    for name in ("rejects.jsonl", "predictions.jsonl", "hardware.jsonl",
+                 "embeddings.f64", "elbow.json", "cluster_model.json",
                  "assignments.jsonl", "ngram_profiles.json", "topic_summaries.json",
                  "representatives.json", "coords.jsonl", "topic_table.md",
                  "representatives.md", "scatter.svg", "review_queue.json",
                  "yearly_counts.csv", "manifest.json"):
         assert (outdir / name).exists(), name
-    assert not (outdir / ".lock").exists()
+    assert not (outdir / ".lock").exists() and not (outdir / "records.jsonl").exists()
     model_doc = json.loads((outdir / "cluster_model.json").read_text(encoding="utf-8"))
     assert by_name["cluster"]["counts"]["converged"] is model_doc["converged"] is True
 
@@ -127,7 +127,7 @@ def test_pipeline_deterministic_across_runs(tmp_path):
 def test_pipeline_resume_recomputes_later_stages_only(tmp_path):
     config = PipelineConfig.from_dict(write_config(tmp_path))
     run_pipeline(config)
-    (tmp_path / "out" / "embeddings.jsonl").unlink()
+    (tmp_path / "out" / "embeddings.f64").unlink()
     manifest = run_pipeline(config)
     status = {s["name"]: s["status"] for s in manifest["stages"]}
     assert status["ingest"] == "cached"
@@ -354,7 +354,7 @@ def test_run_holds_only_values_a_later_stage_reads(tmp_path, monkeypatch):
         for name, values, has_matrix in held:
             read_later = set().union(*(inputs[n] for n in table[table.index(name):]))
             assert values <= read_later, name
-            assert "embeddings.jsonl" in read_later or not has_matrix, name
+            assert pipeline.EMBEDDINGS in read_later or not has_matrix, name
         assert runs[-1].values == {} and "matrix" not in vars(runs[-1])
 
 
@@ -420,37 +420,136 @@ def _as_decimal_lines(data: bytes, old_field: str) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-def test_pipeline_reuses_decimal_vectors_of_older_versions_without_billing(tmp_path, monkeypatch):
-    doc = write_config(tmp_path)
-    config = PipelineConfig.from_dict(doc)
-    run_pipeline(config)
-    outdir, cache_path = tmp_path / "out", Path(doc["cache_path"])
-    expected = tree_bytes(outdir)
-
-    # the output dir and cache as the previous version left them: decimal
-    # vectors, and an embed record whose params carry no format marker
-    cache_path.write_bytes(_as_decimal_lines(cache_path.read_bytes(), "value"))
-    old_matrix = _as_decimal_lines((outdir / "embeddings.jsonl").read_bytes(), "v")
+def _as_older_layout(outdir: Path, config: PipelineConfig, vector_field: str) -> None:
+    """Rewrite a run's output dir as versions before raw float64 embeddings
+    left it: a records.jsonl copy of the corpus, an embeddings.jsonl with one
+    {"id", vector_field} line per row ("f64": base64 of the float64 bytes;
+    "v": a decimal list, the oldest layout), and stage records digested as
+    those versions digested them."""
+    matrix = vectors.load_matrix((outdir / pipeline.EMBEDDINGS).read_bytes())
+    (outdir / pipeline.EMBEDDINGS).unlink()
+    lines = [json.dumps({"dim": matrix.dim, "model": matrix.model_id, "normalized": False})]
+    lines += [json.dumps({"id": i, "f64": gateway.encode_f64(row)})
+              for i, row in zip(matrix.ids, matrix.rows)]
+    old_matrix = ("\n".join(lines) + "\n").encode("utf-8")
+    if vector_field == "v":
+        old_matrix = _as_decimal_lines(old_matrix, "v")
+    old_records = corpus.dump_records(pipeline._ingest_records(config)[0])
     (outdir / "embeddings.jsonl").write_bytes(old_matrix)
+    (outdir / "records.jsonl").write_bytes(old_records)
+
     manifest = json.loads((outdir / "manifest.json").read_text())
     records = {s["name"]: s for s in manifest["stages"]}
-    provider = config.embed_provider
-    records["embed"]["input_digest"] = pipeline._digest_params({
-        "params": {"provider": [provider.kind, provider.model_id]},
-        "files": [records["classify"]["outputs"]["hardware.jsonl"]]})
+    records["ingest"]["outputs"]["records.jsonl"] = pipeline._sha256(old_records)
     records["embed"]["outputs"] = {"embeddings.jsonl": pipeline._sha256(old_matrix)}
+    digests = {name: d for record in records.values() for name, d in record["outputs"].items()}
+    provider = config.embed_provider
+    params = {"ingest": {"format": config.corpus_format, "years": config.years},
+              "embed": {"provider": [provider.kind, provider.model_id],
+                        **({"format": "f64-base64"} if vector_field == "f64" else {})}}
+    inputs = {"ingest": None, "classify": ["records.jsonl"], "embed": ["hardware.jsonl"],
+              "cluster": ["embeddings.jsonl"],
+              "representatives": ["embeddings.jsonl", "cluster_model.json", "assignments.jsonl"],
+              "project": ["embeddings.jsonl", "assignments.jsonl"]}
+    run = pipeline._Run(config)
+    for stage in pipeline._STAGE_TABLE:
+        if stage.name in inputs:
+            files = inputs[stage.name]
+            records[stage.name]["input_digest"] = pipeline._digest_params({
+                "params": params.get(stage.name) or stage.params(config, run),
+                "files": [pipeline._digest_file(Path(p)) for p in config.corpus_paths]
+                if files is None else [digests[name] for name in files]})
     (outdir / "manifest.json").write_text(json.dumps(manifest))
-    old_cache = cache_path.read_bytes()
-    assert b'"f64"' not in old_cache and b'"value": [' in old_cache
 
+
+def _upgrades_without_billing(monkeypatch, outdir: Path, config: PipelineConfig,
+                              expected: dict, expected_manifest: dict) -> None:
+    """One run over an older version's dir bills nothing, leaves the tree a
+    fresh run writes, and the next run reuses every stage."""
+    cache_path = Path(config.cache_path)
+    old_cache = cache_path.read_bytes()
     calls = []
     monkeypatch.setattr(gateway, "mock_embed_vector", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(gateway, "mock_chat_reply", lambda *a, **k: calls.append(a))
     manifest = run_pipeline(config)
     assert calls == []
-    assert {s["name"]: s["status"] for s in manifest["stages"]}["embed"] == "computed"
+    assert [s["status"] for s in manifest["stages"]] == ["computed"] * len(STAGES)
+    assert not (outdir / "records.jsonl").exists() and not (outdir / "embeddings.jsonl").exists()
     assert tree_bytes(outdir) == expected
+    assert stripped_manifest(outdir) == expected_manifest
     assert cache_path.read_bytes() == old_cache  # nothing re-billed, nothing appended
+    assert [s["status"] for s in run_pipeline(config)["stages"]] == ["cached"] * len(STAGES)
+
+
+def test_pipeline_reuses_decimal_vectors_of_older_versions_without_billing(tmp_path, monkeypatch):
+    doc = write_config(tmp_path)
+    config = PipelineConfig.from_dict(doc)
+    run_pipeline(config)
+    outdir, cache_path = tmp_path / "out", Path(doc["cache_path"])
+    expected, expected_manifest = tree_bytes(outdir), stripped_manifest(outdir)
+
+    # the output dir and cache as the version before base64 vectors left them:
+    # decimal vectors, and an embed record whose params carry no format marker
+    cache_path.write_bytes(_as_decimal_lines(cache_path.read_bytes(), "value"))
+    _as_older_layout(outdir, config, "v")
+    old_cache = cache_path.read_bytes()
+    assert b'"f64"' not in old_cache and b'"value": [' in old_cache
+    assert b'"v": [' in (outdir / "embeddings.jsonl").read_bytes()
+    _upgrades_without_billing(monkeypatch, outdir, config, expected, expected_manifest)
+
+
+def test_pipeline_upgrades_base64_embeddings_and_a_records_copy_without_billing(tmp_path,
+                                                                                monkeypatch):
+    config = PipelineConfig.from_dict(write_config(tmp_path))
+    run_pipeline(config)
+    outdir = tmp_path / "out"
+    expected, expected_manifest = tree_bytes(outdir), stripped_manifest(outdir)
+    _as_older_layout(outdir, config, "f64")
+    assert b'"f64": "' in (outdir / "embeddings.jsonl").read_bytes()
+    _upgrades_without_billing(monkeypatch, outdir, config, expected, expected_manifest)
+
+
+def test_pipeline_classify_rereads_the_corpus_after_a_cached_ingest(tmp_path, monkeypatch):
+    doc = write_config(tmp_path)
+    one_shot = dict(doc, output_dir=str(tmp_path / "one_shot"))
+    run_pipeline(PipelineConfig.from_dict(one_shot))  # warms the shared cache
+    cache_path = Path(doc["cache_path"])
+    warm_cache = cache_path.read_bytes()
+    reads, calls = [], []
+    real_ingest = pipeline._ingest_records
+    monkeypatch.setattr(pipeline, "_ingest_records", lambda c: reads.append(1) or real_ingest(c))
+    monkeypatch.setattr(gateway, "mock_embed_vector", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(gateway, "mock_chat_reply", lambda *a, **k: calls.append(a))
+
+    config = PipelineConfig.from_dict(doc)
+    run_pipeline(config, until="ingest")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "manifest.json", "rejects.jsonl", "yearly_counts.csv"]
+    manifest = run_pipeline(config)
+    assert [s["status"] for s in manifest["stages"]] == ["cached"] + ["computed"] * 7
+    assert len(reads) == 2 and calls == []  # ingest's parse, then classify's
+    assert cache_path.read_bytes() == warm_cache
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "one_shot")
+    assert stripped_manifest(tmp_path / "out") == stripped_manifest(tmp_path / "one_shot")
+
+
+def test_pipeline_clusters_cached_read_only_rows_without_normalizing(tmp_path, monkeypatch):
+    raw = {"clustering.normalize": False}
+    config = PipelineConfig.from_dict(write_config(tmp_path, **raw))
+    run_pipeline(config)
+    seen = []
+    real_fit = clustering.fit_best_of
+    monkeypatch.setattr(clustering, "fit_best_of", lambda matrix, *a: seen.append(
+        (matrix.normalized, matrix.rows.flags.writeable)) or real_fit(matrix, *a))
+    changed = PipelineConfig.from_dict(write_config(tmp_path, **raw, **{"clustering.k": 3}))
+    manifest = run_pipeline(changed)
+    assert [s["status"] for s in manifest["stages"]] == ["cached"] * 3 + ["computed"] * 5
+    assert seen == [(False, False)]  # the loaded rows themselves
+    fresh = write_config(tmp_path, output_dir=str(tmp_path / "fresh"),
+                         cache_path=str(tmp_path / "fresh_cache.jsonl"), **raw,
+                         **{"clustering.k": 3})
+    run_pipeline(PipelineConfig.from_dict(fresh))
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "fresh")
 
 
 @pytest.mark.parametrize("victim", ["manifest.json", "cluster_model.json"])
@@ -573,22 +672,22 @@ def test_pipeline_dry_run_respects_the_output_dir_lock(tmp_path):
 PINNED_RUN_IDS = {"minimal": "8e7f33a89550d536", "remote": "7e6a661ede972c8d"}
 PINNED_STAGE_DIGESTS = {
     "example": ("8485eccde079e163", {
-        "ingest": "6cf7af2c5f78a79d0968a7dd39ec8c13d0124ec98d54567128ecc52a76f61fa2",
-        "classify": "8487c33d9a539d13cff0d846ad90bd2dc0edffdffc64fee9506ffa5b956dd79d",
-        "embed": "7f791552f7c597c968d76795fa1482baf4165418fe0dffca19ee48e0f1bfa179",
-        "cluster": "7b1b665de96b33e4b69395700ef488d6a8f8452c30f8d0a30ef7c05b6f1564ce",
+        "ingest": "077df69de0069970c03f76f6d498006e0b4badc0d142e8ed383a2144e0771438",
+        "classify": "4c4bdd3faba978866aed01a0ee0a8f83f9cba45521f7254c460bd8a870dcee28",
+        "embed": "cbf36937150223a2e6b5d45e1af499598fbbbd13387ddf409a537f6bba2ac50e",
+        "cluster": "5ba2122a35023a2c79f2aafdd747a3fd60ea94f12e48688dc47f44c527f675a0",
         "topics": "fbaa0be8b79021c3ab3d1c6a714d8f9bb7cd5f1892d98f2b4929ea0e05c57369",
-        "representatives": "a2dfcb8d8a051e7e0b77af82e86bf8d5e04023a086a5ba6cf74a84507acbf16d",
-        "project": "53dedbe1f793359c8e5cb77e873f35e303a4a1974985a6a458c3988bed861ef0",
+        "representatives": "571eb8da275ddcf0ab17f5db61886aed7c611b8216ecaa2c7956484a4a4a097b",
+        "project": "48abcf20120605c09a5527b158598baaaba5e345984422b34a1f553db15f2237",
         "report": "aea0af8638f11ab9e087aebcd04c442a2b15edd965bcd2e0bf2df4e50040ab4d"}),
     "perfbench": ("ba9732f069430e48", {
-        "ingest": "939aa85d1f3ba5785c9101abbd4e3a870777b62ca6ffeb4211e78fd64d74d841",
-        "classify": "8487c33d9a539d13cff0d846ad90bd2dc0edffdffc64fee9506ffa5b956dd79d",
-        "embed": "b685fb10eb8b3a54d9922bd454e51860c8e0fac69330c3039ea89be50dc2c0a1",
-        "cluster": "4c4ab5747ace01ae3d504aa9419079249bf48c92b6b0da2c79bf441bdcd0a5d4",
+        "ingest": "ba858708ce37c7ce7692f3efce6c1b875f07ace274678f7d712a65a49887688a",
+        "classify": "955141f5db3d6a6b296e5365cbd12866287fb6a90e1aed7217786fd4993fa592",
+        "embed": "36d664368fad065e578f3e6bc2119a664b57ce4225b8dc887709d97de4eff2a6",
+        "cluster": "956bb544f39b6c9800959c90b71fc8894b83953af6466f2a8926d50752e63e96",
         "topics": "fbaa0be8b79021c3ab3d1c6a714d8f9bb7cd5f1892d98f2b4929ea0e05c57369",
-        "representatives": "793f212131e2997b5076b25b71177596b7070c1dafcc7c932259f93fdc74a775",
-        "project": "e35821a0675bccb15fb254c89690366d0191be3014892b559bc4957e2ea4c9c3",
+        "representatives": "5e56a25824f439c0d31c056857d9be41c7e95b70e707f10d423079e667eb9f94",
+        "project": "0b0ae2a91403a0d0be85450df98970e0eece9a641e7b9b1adc61709c31c27b60",
         "report": "73b252d6320510a611f7a70fc516244eaade9607b944ad3670f00b521d6a7be4"}),
 }
 

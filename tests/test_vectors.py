@@ -58,17 +58,35 @@ def test_dump_matrix_rows_are_id_and_f64():
     ids = ["CVE-2021-1000", 'odd "id"\u2028\\']
     rows = np.array([[1.0, 2.0], [3.0, -0.5]])
     matrix = EmbeddingMatrix(ids=ids, rows=rows, dim=2, model_id="m")
-    header, *lines = dump_matrix(matrix).decode("utf-8").split("\n")[:-1]
-    assert json.loads(header) == {"dim": 2, "model": "m", "normalized": False}
-    assert lines == [json.dumps({"id": i, "f64": encode_f64(r)}) for i, r in zip(ids, rows)]
-    assert load_matrix(dump_matrix(matrix)).ids == ids
+    data = dump_matrix(matrix)
+    header, body = data.split(b"\n", 1)
+    assert json.loads(header) == {"dim": 2, "model": "m", "normalized": False, "ids": ids}
+    assert (len(header) + 1) % 8 == 0  # the rows start aligned
+    assert body == struct.pack("<4d", 1.0, 2.0, 3.0, -0.5)
+    assert load_matrix(data).ids == ids
 
 
 def test_load_matrix_dim_mismatch():
-    row = json.dumps({"id": "a", "f64": encode_f64(np.array([1.0, 2.0]))})
-    data = b'{"dim": 3, "model": "m", "normalized": false}\n' + row.encode("ascii") + b"\n"
-    with pytest.raises(CveMinerError, match="row a has 2 values, expected 3"):
+    data = (b'{"dim": 3, "model": "m", "normalized": false, "ids": ["a"]}\n'
+            + struct.pack("<2d", 1.0, 2.0))
+    with pytest.raises(CveMinerError, match="matrix body holds 16 bytes, expected 24 for 1 rows x dim 3"):
         load_matrix(data)
+
+
+def test_load_matrix_is_bit_exact_and_read_only():
+    values = [0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, 0.1, 1 / 3, -7.0]
+    matrix = EmbeddingMatrix(ids=["a", "b"], rows=np.array(values).reshape(2, 4), dim=4,
+                             model_id="m", normalized=True)
+    data = dump_matrix(matrix)
+    again = load_matrix(data)
+    assert again.rows.tobytes() == matrix.rows.tobytes()
+    assert (again.ids, again.dim, again.model_id, again.normalized) == (["a", "b"], 4, "m", True)
+    assert not again.rows.flags.writeable and again.rows.flags.aligned
+    for cut in (1, 8, 31):  # a body cut short, in a row or at a row's end
+        with pytest.raises(CveMinerError, match="matrix body holds"):
+            load_matrix(data[:-cut])
+    with pytest.raises(CveMinerError, match="matrix body holds"):
+        load_matrix(data + b"\0")
 
 
 def test_normalize_matrix():
