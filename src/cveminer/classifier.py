@@ -12,11 +12,17 @@ The prompt payload and the ``dump_predictions`` lines are built with
 ensure_ascii=False)`` itself calls for every string, so their bytes equal
 ``json.dumps`` of the same objects.  Cache keys hash the prompt, so a prompt
 that changed by one byte would bill every record again.
+
+``classify_corpus`` builds the prompts and asks the provider one chunk of
+CHUNK_RECORDS records at a time, so besides its input records and its
+results it holds one chunk's prompts and batch results, whatever the corpus
+size.  It makes the calls one batch over the whole corpus would make.
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 
@@ -33,6 +39,11 @@ _TEMPLATE_ASSETS = {"hwsw": "hwsw_prompt.txt", "summarize": "summarize_prompt.tx
 # The reason of a failure whose reply held no label; any other failure is a
 # provider error, which is not cached and so is asked again on the next run.
 UNPARSEABLE = "unparseable label"
+
+# Records per provider batch.  Classify holds one chunk's prompts (about 1 KB
+# each) and batch results at a time; a chunk this long against max_parallel
+# keeps the wait at the end of each batch small.
+CHUNK_RECORDS = 4096
 
 # A 0/1 that is not part of a longer number or word.
 _STANDALONE_BIT = re.compile(r"(?<![0-9A-Za-z])([01])(?![0-9A-Za-z])")
@@ -97,26 +108,50 @@ def classify_corpus(config: gateway.ProviderConfig, template: str,
     """Classify every record; failures are enumerated, never guessed.
 
     Returns (predictions, failures) with len(predictions) + len(failures)
-    equal to len(records).  Predictions keep record order.
+    equal to len(records).  Both keep record order.
+
+    The records go to ``gateway.run_batch`` CHUNK_RECORDS at a time.  A
+    record whose prompt repeats an earlier one's after NFC (as
+    ``gateway.cache_key`` sees it) is not asked again, in any chunk, and
+    takes that record's reply or error.
     """
     if not records:
         raise ValueError("classify_corpus needs at least one record")
     if not config.is_chat:
         raise ValueError(f"classify_corpus needs a chat provider, got {config.kind}")
-    prompts = [build_hwsw_prompt(template, r) for r in records]
-    items = gateway.run_batch(config, prompts, cache=cache)
+    # Only the id and the description vary between prompts, and NFC never joins
+    # them to the ASCII text around them, so two prompts are equal after NFC
+    # exactly when their ids and descriptions are.
+    first: dict[tuple[str, str], int] = {}
+    source: dict[int, int] = {}  # a repeating record -> the first record with its prompt
+    for i, r in enumerate(records):
+        j = first.setdefault((unicodedata.normalize("NFC", r.id),
+                              unicodedata.normalize("NFC", r.description)), i)
+        if j != i:
+            source[i] = j
+    del first
+    repeated = set(source.values())
+    kept: dict[int, gateway.BatchItem] = {}  # results of the repeated prompts
     predictions: list[Prediction] = []
     failures: list[tuple[str, str]] = []
-    for record, item in zip(records, items):
-        if item.error is not None:
-            failures.append((record.id, str(item.error)))
-            continue
-        text = item.value.text
-        label = parse_label(text)
-        if label is None:
-            failures.append((record.id, f"{UNPARSEABLE}: {text!r}"))
-            continue
-        predictions.append(Prediction(record.id, label, text, config.model_id))
+    for start in range(0, len(records), CHUNK_RECORDS):
+        chunk = range(start, min(start + CHUNK_RECORDS, len(records)))
+        asked = [i for i in chunk if i not in source]
+        items = dict(zip(asked, gateway.run_batch(
+            config, [build_hwsw_prompt(template, records[i]) for i in asked], cache=cache)))
+        kept.update((i, items[i]) for i in asked if i in repeated)
+        for i in chunk:
+            record = records[i]
+            item = kept[source[i]] if i in source else items[i]
+            if item.error is not None:
+                failures.append((record.id, str(item.error)))
+                continue
+            text = item.value.text
+            label = parse_label(text)
+            if label is None:
+                failures.append((record.id, f"{UNPARSEABLE}: {text!r}"))
+                continue
+            predictions.append(Prediction(record.id, label, text, config.model_id))
     return predictions, failures
 
 

@@ -194,6 +194,13 @@ def kmeanspp_init(matrix: EmbeddingMatrix, k: int, seed: int,
     return np.array(chosen) if _indices else canon.rows[chosen]
 
 
+def _sq_residuals(rows: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """``(rows - centroids[assign]) ** 2`` with the same bits, in one n x dim buffer."""
+    out = np.take(centroids, assign, axis=0)
+    np.subtract(rows, out, out=out)
+    return np.square(out, out=out)
+
+
 def _repair_empty(assign: np.ndarray, point_d2: np.ndarray, k: int) -> None:
     """Move the globally farthest point into each empty cluster, in place."""
     taken: set[int] = set()
@@ -256,7 +263,7 @@ def lloyd(matrix: EmbeddingMatrix, init_centroids: np.ndarray,
         assign = _nearest_centroid(canon, means)
         counts = np.bincount(assign, minlength=k)
         if not counts.all():
-            _repair_empty(assign, np.sum((rows - means.full[assign]) ** 2, axis=1), k)
+            _repair_empty(assign, _sq_residuals(rows, means.full, assign).sum(axis=1), k)
             counts = np.bincount(assign, minlength=k)
 
         members = np.zeros((k, n))
@@ -283,7 +290,7 @@ def _make_exact(canon: _Canonical, model: ClusterModel) -> ClusterModel:
     """Recompute `model`'s centroids and objective from its assignment, in place."""
     rows, assign = canon.rows, model.assignments[canon.order]
     model.centroids = np.vstack([rows[assign == j].mean(axis=0) for j in range(model.k)])
-    model.wcss = float(np.sum((rows - model.centroids[assign]) ** 2))
+    model.wcss = float(_sq_residuals(rows, model.centroids, assign).sum())
     if model.wcss_history:
         model.wcss_history[-1] = model.wcss
     return model

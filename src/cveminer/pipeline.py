@@ -19,6 +19,9 @@ its producer computed in the same run: the value is handed forward, which is
 exact because every artifact format round-trips bit for bit.  The parsed
 corpus is an input but no artifact: ingest hands it to classify, and a
 classify that recomputes after a cached ingest parses the corpus files again.
+Classify asks the provider in chunks of records
+(``classifier.CHUNK_RECORDS``), so its prompts and replies take one chunk's
+memory, not the corpus's.
 Both stages take the corpus's digest (its files' digests, each file hashed
 once per run, with ``corpus.format`` and ``corpus.years``) as their input.
 The embeddings are stored as raw float64 (``vectors.dump_matrix``) and read

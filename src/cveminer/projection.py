@@ -27,13 +27,14 @@ Everything runs on numpy kernels, with no per-row Python loop:
   ``trustworthiness``; 2-D distances from broadcast differences.
 * The bandwidth bisection advances every row at once, and freezes each
   row as it converges.
-* Each gradient step does its n x n work in float32, in two buffers
-  allocated once per run.  One GEMM against ``[Y, 1]`` yields both the
-  row sums and the products with the coordinates; those sums, the
-  normalizer Z and the coordinates are carried in float64, and so is the
-  KL divergence of the trace.  A step's gradient is within about 1e-5 of
-  its float64 value, relative to its norm, except near convergence, where
-  the gradient itself nears zero.
+* The affinities are symmetrized and normalized in place.  Each gradient
+  step does its n x n work in float32, in two buffers allocated once per
+  run, and each KL evaluation in a third, float64 one.  One GEMM against
+  ``[Y, 1]`` yields both the row sums and the products with the
+  coordinates; those sums, the normalizer Z and the coordinates are
+  carried in float64, and so is the KL divergence of the trace.  A step's
+  gradient is within about 1e-5 of its float64 value, relative to its
+  norm, except near convergence, where the gradient itself nears zero.
 
 Nothing here serializes: ``pipeline`` owns the format of ``coords.jsonl``.
 """
@@ -208,15 +209,25 @@ def conditional_affinities(rows: np.ndarray, perplexity: float) -> np.ndarray:
         shifted = d[under] - d[under].min(axis=1, keepdims=True)
         kernel[under] = np.exp(-beta[under, None] * shifted)
         total[under] = kernel[under].sum(axis=1)
+    del d
+    kernel /= total[:, None]
     p = np.zeros((n, n))
-    p[off] = (kernel / total[:, None]).ravel()
+    p[off] = kernel.ravel()
     return p
 
 
 def joint_affinities(conditional: np.ndarray) -> np.ndarray:
     n = conditional.shape[0]
-    joint = (conditional + conditional.T) / (2.0 * n)
-    return np.maximum(joint, AFFINITY_FLOOR)
+    joint = conditional + conditional.T
+    joint /= 2.0 * n
+    return np.maximum(joint, AFFINITY_FLOOR, out=joint)
+
+
+def _input_affinities(rows: np.ndarray, perplexity: float) -> np.ndarray:
+    """The joint affinities that t-SNE fits, normalized to sum 1 and floored."""
+    p = joint_affinities(conditional_affinities(rows, perplexity))
+    p /= p.sum()
+    return np.maximum(p, AFFINITY_FLOOR, out=p)
 
 
 def _gradient(p32: np.ndarray, coords: np.ndarray, exaggeration: float,
@@ -278,12 +289,11 @@ def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 
     if params.perplexity >= (n - 1) / 3.0:
         raise CveMinerError(f"perplexity {params.perplexity} >= (n-1)/3 = {(n - 1) / 3.0:.3f}")
 
-    p_joint = joint_affinities(conditional_affinities(matrix.rows, params.perplexity))
-    p_joint = p_joint / p_joint.sum()
-    p_joint = np.maximum(p_joint, AFFINITY_FLOOR)
+    p_joint = _input_affinities(matrix.rows, params.perplexity)
     p32 = p_joint.astype(np.float32)
     num = np.empty((n, n), dtype=np.float32)
     pq = np.empty((n, n), dtype=np.float32)
+    kl = np.empty((n, n))  # each KL evaluation's float64 work
 
     rng = np.random.default_rng(seed)
     coords = rng.standard_normal((n, 2)) * INIT_SIGMA
@@ -300,8 +310,14 @@ def tsne(matrix: EmbeddingMatrix, params: TsneParams | None = None, seed: int = 
         coords = coords - coords.mean(axis=0)
 
         if it % KL_INTERVAL == 0 or it == params.iterations:
-            q = np.maximum(num.astype(np.float64) / z, AFFINITY_FLOOR)
-            kl_trace.append((it, float(np.sum(p_joint * np.log(p_joint / q)))))
+            # p log(p / q), with q = max(num / z, AFFINITY_FLOOR)
+            kl[...] = num
+            kl /= z
+            np.maximum(kl, AFFINITY_FLOOR, out=kl)
+            np.divide(p_joint, kl, out=kl)
+            np.log(kl, out=kl)
+            kl *= p_joint
+            kl_trace.append((it, float(kl.sum())))
 
     return ProjectionResult(ids=list(matrix.ids), coords=coords, params=params,
                             seed=seed, final_kl=kl_trace[-1][1], kl_trace=kl_trace)

@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import json
 import random
+import unicodedata
 
 import pytest
 
@@ -110,6 +112,50 @@ def test_classify_unparseable_goes_to_failures(mini_records, hwsw, monkeypatch):
     predictions, failures = classify_corpus(config, hwsw, mini_records[:3])
     assert predictions == []
     assert all("unparseable" in reason for _, reason in failures)
+
+
+def test_chunks_bill_each_prompt_once_across_boundaries(mini_records, hwsw, monkeypatch,
+                                                        failing_inputs):
+    # chunks of 4: each pair below straddles a boundary (indices 3|4, 7|8, 11|12)
+    cafe = corpus.CveRecord("CVE-2021-9001", "caf\u00e9 firmware", 2021, "t")
+    nfd = corpus.CveRecord("CVE-2021-9001", "cafe\u0301 firmware", 2021, "t")
+    bad = corpus.CveRecord("CVE-2021-9002", "BAD input", 2021, "t")
+    r = mini_records
+    records = [r[0], r[1], r[2], r[3], r[3], r[4], r[5], cafe, nfd, r[6], r[7], bad, bad,
+               r[0], r[8]]
+    failing_inputs("BAD input")
+    calls = collections.Counter()
+    reply = gateway.mock_chat_reply
+
+    def counting(model_id, prompt):
+        calls[unicodedata.normalize("NFC", prompt)] += 1
+        return reply(model_id, prompt)
+
+    monkeypatch.setattr(gateway, "mock_chat_reply", counting)
+    batch_sizes = []
+    run_batch = gateway.run_batch
+    monkeypatch.setattr(gateway, "run_batch", lambda config, inputs, cache=None:
+                        batch_sizes.append(len(inputs)) or run_batch(config, inputs, cache))
+    config = gateway.ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
+
+    def classify(chunk):
+        monkeypatch.setattr(classifier, "CHUNK_RECORDS", chunk)
+        calls.clear()
+        batch_sizes.clear()
+        return classify_corpus(config, hwsw, records)
+
+    whole = classify(len(records))
+    assert len(batch_sizes) == 1 and sorted(calls.values()) == [1] * 11  # 4 repeats
+    predictions, failures = classify(4)
+    assert sorted(calls.values()) == [1] * 11
+    assert max(batch_sizes) <= 4
+    assert predictions == whole[0]
+    ids = [p.id for p in predictions]
+    assert ids.count(r[3].id) == ids.count(cafe.id) == 2
+    # both failing records share the one attempt of this run, the input's second
+    assert failures == [(i, why.replace("failure 1", "failure 2")) for i, why in whole[1]]
+    assert [why for i, why in failures if i == bad.id] == \
+        ["provider error (status=503): injected failure 2"] * 2
 
 
 def test_classify_requires_records(chat_config, hwsw):

@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from matrices import blob_matrix, label_purity, random_matrix
+from cveminer import clustering
 from cveminer.clustering import (ClusterModel, _canonical, _repair_empty, choose_elbow,
                                  elbow_select, fit_best_of, kmeanspp_init, lloyd,
                                  representatives)
@@ -275,6 +276,44 @@ def test_gram_kernels_match_direct_reference_bit_for_bit(kind):
             assert model.centroids.tobytes() == centroids.tobytes()
             assert model.wcss == wcss and model.wcss_history[-1] == wcss
             assert (model.iterations, model.converged) == (iterations, converged)
+
+
+def _emptying(seed, dim, per_group=5):
+    """Points on a line at 2.4 (x per_group), 2.6, 7.4 and 7.6 (x per_group),
+    turned into `dim` dimensions with a little noise, and init centroids at 0,
+    10 and 5 on that line.  The first step gives the middle centroid 2.6 and
+    7.4, and moves the outer ones to 2.4 and 7.6, which then take both: the
+    second step leaves the middle cluster empty."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((2 * per_group + 2, dim))
+    rows[:, 0] = [2.4] * per_group + [2.6, 7.4] + [7.6] * per_group
+    init = np.zeros((3, dim))
+    init[:, 0] = [0.0, 10.0, 5.0]
+    rotation = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    rows = (rows + 0.01 * rng.normal(size=rows.shape)) @ rotation
+    return _shuffled(matrix_from_rows(rows), seed), init @ rotation
+
+
+@pytest.mark.parametrize("dim", [4, 16])  # 12 rows: in row space, then in Gram space
+def test_empty_cluster_repair_matches_direct_reference_bit_for_bit(dim, monkeypatch):
+    steps, repaired = [], []  # one entry per assignment step; the step each repair followed
+    nearest, repair = clustering._nearest_centroid, clustering._repair_empty
+    monkeypatch.setattr(clustering, "_nearest_centroid",
+                        lambda canon, means: steps.append(1) or nearest(canon, means))
+    monkeypatch.setattr(clustering, "_repair_empty",
+                        lambda assign, d2, k: repaired.append(len(steps)) or repair(assign, d2, k))
+    for seed in range(10):
+        matrix, init = _emptying(seed, dim)
+        assert (_canonical(matrix).gram is not None) == (len(matrix) <= dim)
+        steps.clear()
+        repaired.clear()
+        model = lloyd(matrix, init)
+        assert repaired == [2], seed
+        assignments, centroids, wcss, iterations, converged = _oracle_lloyd(matrix, init)
+        assert np.array_equal(model.assignments, assignments), seed
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.wcss == wcss and model.wcss_history[-1] == wcss
+        assert (model.iterations, model.converged) == (iterations, converged)
 
 
 def _oracle_fit_best_of(matrix, k, seed, restarts):

@@ -66,14 +66,20 @@ def _conditional_affinities_oracle(rows, perplexity):
     return p, steps
 
 
+def _equidistant_rows(radius):
+    """60 rows in 8-D: row 0 at the origin, the others at `radius` from it."""
+    rows = np.random.default_rng(5).normal(size=(60, 8))
+    rows[1:] *= radius / np.linalg.norm(rows[1:], axis=1, keepdims=True)
+    rows[0] = 0.0
+    return rows
+
+
 @pytest.mark.parametrize("radius", [1.0, 3.0])
 def test_conditional_affinities_match_row_oracle_with_a_row_out_of_steps(radius):
     # point 0 is equidistant from all others, so its entropy cannot reach the
     # target: it runs out of steps (ending uniform at radius 1, underflowed to
     # zeros at radius 3) while the other rows converge
-    rows = np.random.default_rng(5).normal(size=(60, 8))
-    rows[1:] *= radius / np.linalg.norm(rows[1:], axis=1, keepdims=True)
-    rows[0] = 0.0
+    rows = _equidistant_rows(radius)
     want, steps = _conditional_affinities_oracle(rows, 10.0)
     assert steps[0] == MAX_BISECTIONS and steps[1:].max() < MAX_BISECTIONS
     assert (want[0].sum() == 0.0) == (radius == 3.0)  # the oracle keeps the zero row
@@ -220,6 +226,65 @@ def test_tsne_kl_trace_every_interval():
     # the last iteration is recorded once, also off the interval
     result = tsne(m, small_params(iterations=120), seed=2)
     assert [it for it, _ in result.kl_trace] == [50, 100, 120]
+
+
+def _out_of_place_p(d, beta, kernel, total):
+    """P from the last Gaussian rows of the bisection, through the expressions
+    `tsne` used before its n x n work went in place: the tail of
+    `conditional_affinities`, `joint_affinities`, then the normalization."""
+    n = len(kernel)
+    under = np.flatnonzero(~kernel.any(axis=1))
+    if under.size:
+        shifted = d[under] - d[under].min(axis=1, keepdims=True)
+        kernel[under] = np.exp(-beta[under, None] * shifted)
+        total[under] = kernel[under].sum(axis=1)
+    conditional = np.zeros((n, n))
+    conditional[~np.eye(n, dtype=bool)] = (kernel / total[:, None]).ravel()
+    joint = (conditional + conditional.T) / (2.0 * n)
+    joint = np.maximum(joint, projection.AFFINITY_FLOOR)
+    joint = joint / joint.sum()
+    return np.maximum(joint, projection.AFFINITY_FLOOR)
+
+
+def _out_of_place_kl(p_joint, num, z):
+    q = np.maximum(num.astype(np.float64) / z, projection.AFFINITY_FLOOR)
+    return float(np.sum(p_joint * np.log(p_joint / q)))
+
+
+@pytest.mark.parametrize("radius", [None, 3.0])  # 3.0: one row's kernel underflows
+def test_tsne_p_and_kl_trace_equal_the_out_of_place_expressions(radius, monkeypatch):
+    # compared within one process: layouts differ from one CPU model to another
+    if radius is None:
+        rows = random_matrix(11, 90, 12).rows
+    else:
+        rows = _equidistant_rows(radius)
+    matrix = EmbeddingMatrix(ids=[f"CVE-2021-{1000 + i}" for i in range(len(rows))],
+                             rows=rows, dim=rows.shape[1], model_id="t")
+    last, fitted, steps = {}, [], []
+    gaussian, affinities, gradient = (projection._gaussian_rows, projection._input_affinities,
+                                      projection._gradient)
+
+    def gaussian_rows(d, beta):
+        out = gaussian(d, beta)
+        last.update(d=d.copy(), beta=beta.copy(), kernel=out[0].copy(), total=out[1].copy())
+        return out
+
+    def step(p32, coords, exaggeration, num, pq):
+        out = gradient(p32, coords, exaggeration, num, pq)
+        steps.append((num.copy(), out[1]))
+        return out
+
+    monkeypatch.setattr(projection, "_gaussian_rows", gaussian_rows)
+    monkeypatch.setattr(projection, "_input_affinities",
+                        lambda rows, perplexity: fitted.append(affinities(rows, perplexity))
+                        or fitted[-1])
+    monkeypatch.setattr(projection, "_gradient", step)
+    result = tsne(matrix, small_params(iterations=120), seed=3)
+    assert (~last["kernel"].any(axis=1)).any() == (radius is not None)
+    want = _out_of_place_p(**last)
+    assert fitted[0].tobytes() == want.tobytes()
+    assert result.kl_trace == [(it, _out_of_place_kl(want, *steps[it - 1]))
+                               for it in (50, 100, 120)]
 
 
 def test_tsne_blobs_quality_and_kl_descent():
