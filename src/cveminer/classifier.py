@@ -41,8 +41,9 @@ _TEMPLATE_ASSETS = {"hwsw": "hwsw_prompt.txt", "summarize": "summarize_prompt.tx
 UNPARSEABLE = "unparseable label"
 
 # Records per provider batch.  Classify holds one chunk's prompts (about 1 KB
-# each) and batch results at a time; a chunk this long against max_parallel
-# keeps the wait at the end of each batch small.
+# each) and batch results at a time.  Between two chunks the provider waits
+# while the last requests drain and the next prompts are built; a chunk this
+# long against max_parallel keeps that wait small next to the batch.
 CHUNK_RECORDS = 4096
 
 # A 0/1 that is not part of a longer number or word.
@@ -89,7 +90,11 @@ def load_template(name: str, path=None) -> str:
 
 
 def build_hwsw_prompt(template: str, record: CveRecord) -> str:
-    """Render the classification prompt for one record (deterministic)."""
+    """Render the classification prompt for one record (deterministic).
+
+    Only ``record.id`` and ``record.description`` enter the prompt.
+    ``classify_corpus`` takes two records for one prompt when the NFC forms of
+    these two fields agree, so a field added here must join that key too."""
     return (f"{template}\nThe following is CVE information:\n"
             f'DESC: {{"id": {_json_str(record.id)}, "description": {_json_str(record.description)}}}')
 
@@ -119,9 +124,9 @@ def classify_corpus(config: gateway.ProviderConfig, template: str,
         raise ValueError("classify_corpus needs at least one record")
     if not config.is_chat:
         raise ValueError(f"classify_corpus needs a chat provider, got {config.kind}")
-    # Only the id and the description vary between prompts, and NFC never joins
-    # them to the ASCII text around them, so two prompts are equal after NFC
-    # exactly when their ids and descriptions are.
+    # Only the id and the description vary between prompts (build_hwsw_prompt),
+    # and NFC never joins them to the ASCII text around them, so two prompts are
+    # equal after NFC exactly when their ids and descriptions are.
     first: dict[tuple[str, str], int] = {}
     source: dict[int, int] = {}  # a repeating record -> the first record with its prompt
     for i, r in enumerate(records):
@@ -137,8 +142,10 @@ def classify_corpus(config: gateway.ProviderConfig, template: str,
     for start in range(0, len(records), CHUNK_RECORDS):
         chunk = range(start, min(start + CHUNK_RECORDS, len(records)))
         asked = [i for i in chunk if i not in source]
-        items = dict(zip(asked, gateway.run_batch(
-            config, [build_hwsw_prompt(template, records[i]) for i in asked], cache=cache)))
+        items = {}
+        if asked:  # a chunk may hold only repeats, and run_batch refuses an empty batch
+            items = dict(zip(asked, gateway.run_batch(
+                config, [build_hwsw_prompt(template, records[i]) for i in asked], cache=cache)))
         kept.update((i, items[i]) for i in asked if i in repeated)
         for i in chunk:
             record = records[i]

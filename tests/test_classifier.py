@@ -121,8 +121,7 @@ def test_chunks_bill_each_prompt_once_across_boundaries(mini_records, hwsw, monk
     nfd = corpus.CveRecord("CVE-2021-9001", "cafe\u0301 firmware", 2021, "t")
     bad = corpus.CveRecord("CVE-2021-9002", "BAD input", 2021, "t")
     r = mini_records
-    records = [r[0], r[1], r[2], r[3], r[3], r[4], r[5], cafe, nfd, r[6], r[7], bad, bad,
-               r[0], r[8]]
+    base = [r[0], r[1], r[2], r[3], r[3], r[4], r[5], cafe, nfd, r[6], r[7], bad, bad, r[0], r[8]]
     failing_inputs("BAD input")
     calls = collections.Counter()
     reply = gateway.mock_chat_reply
@@ -138,24 +137,29 @@ def test_chunks_bill_each_prompt_once_across_boundaries(mini_records, hwsw, monk
                         batch_sizes.append(len(inputs)) or run_batch(config, inputs, cache))
     config = gateway.ProviderConfig(kind="mock-chat", model_id="mock-hwsw", retry_limit=0)
 
-    def classify(chunk):
+    def classify(records, chunk):
         monkeypatch.setattr(classifier, "CHUNK_RECORDS", chunk)
         calls.clear()
         batch_sizes.clear()
         return classify_corpus(config, hwsw, records)
 
-    whole = classify(len(records))
-    assert len(batch_sizes) == 1 and sorted(calls.values()) == [1] * 11  # 4 repeats
-    predictions, failures = classify(4)
-    assert sorted(calls.values()) == [1] * 11
-    assert max(batch_sizes) <= 4
-    assert predictions == whole[0]
-    ids = [p.id for p in predictions]
-    assert ids.count(r[3].id) == ids.count(cafe.id) == 2
-    # both failing records share the one attempt of this run, the input's second
-    assert failures == [(i, why.replace("failure 1", "failure 2")) for i, why in whole[1]]
-    assert [why for i, why in failures if i == bad.id] == \
-        ["provider error (status=503): injected failure 2"] * 2
+    # doubled, records 15 on all repeat earlier ones, so chunks 16-19 to 28-29 hold only repeats
+    for n, records in enumerate((base, base + base)):
+        whole = classify(records, len(records))
+        assert len(batch_sizes) == 1 and sorted(calls.values()) == [1] * 11
+        predictions, failures = classify(records, 4)
+        assert sorted(calls.values()) == [1] * 11
+        assert max(batch_sizes) <= 4
+        assert len(batch_sizes) == 4  # the doubled list's last four chunks ask nothing
+        assert predictions == whole[0]
+        ids = [p.id for p in predictions]
+        assert ids.count(r[3].id) == ids.count(cafe.id) == 2 * (n + 1)
+        # every failing record shares the one attempt of its run, the input's second
+        # (then its fourth, as the attempts on an input add up across runs)
+        first, second = f"failure {2 * n + 1}", f"failure {2 * n + 2}"
+        assert failures == [(i, why.replace(first, second)) for i, why in whole[1]]
+        assert [why for i, why in failures if i == bad.id] == \
+            [f"provider error (status=503): injected {second}"] * (2 * (n + 1))
 
 
 def test_classify_requires_records(chat_config, hwsw):
