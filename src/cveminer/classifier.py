@@ -16,13 +16,14 @@ that changed by one byte would bill every record again.
 ``classify_corpus`` builds the prompts and asks the provider one chunk of
 CHUNK_RECORDS records at a time, so besides its input records and its
 results it holds one chunk's prompts and batch results, whatever the corpus
-size.  It makes the calls one batch over the whole corpus would make.
+size.  The records' ids are unique (ingest keeps one record per id), so their
+prompts differ, and the chunks make the calls one batch over the whole corpus
+would make.
 """
 
 from __future__ import annotations
 
 import re
-import unicodedata
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 
@@ -92,9 +93,10 @@ def load_template(name: str, path=None) -> str:
 def build_hwsw_prompt(template: str, record: CveRecord) -> str:
     """Render the classification prompt for one record (deterministic).
 
-    Only ``record.id`` and ``record.description`` enter the prompt.
-    ``classify_corpus`` takes two records for one prompt when the NFC forms of
-    these two fields agree, so a field added here must join that key too."""
+    Only ``record.id`` and ``record.description`` enter the prompt.  A valid
+    id holds no character that NFC changes or joins to the quote around it,
+    so records with distinct ids get distinct prompts, as ``gateway.cache_key``
+    sees them."""
     return (f"{template}\nThe following is CVE information:\n"
             f'DESC: {{"id": {_json_str(record.id)}, "description": {_json_str(record.description)}}}')
 
@@ -113,43 +115,23 @@ def classify_corpus(config: gateway.ProviderConfig, template: str,
     """Classify every record; failures are enumerated, never guessed.
 
     Returns (predictions, failures) with len(predictions) + len(failures)
-    equal to len(records).  Both keep record order.
-
-    The records go to ``gateway.run_batch`` CHUNK_RECORDS at a time.  A
-    record whose prompt repeats an earlier one's after NFC (as
-    ``gateway.cache_key`` sees it) is not asked again, in any chunk, and
-    takes that record's reply or error.
+    equal to len(records).  Both keep record order.  The records go to
+    ``gateway.run_batch`` CHUNK_RECORDS at a time; a repeated id raises
+    ValueError before any call.
     """
     if not records:
         raise ValueError("classify_corpus needs at least one record")
     if not config.is_chat:
         raise ValueError(f"classify_corpus needs a chat provider, got {config.kind}")
-    # Only the id and the description vary between prompts (build_hwsw_prompt),
-    # and NFC never joins them to the ASCII text around them, so two prompts are
-    # equal after NFC exactly when their ids and descriptions are.
-    first: dict[tuple[str, str], int] = {}
-    source: dict[int, int] = {}  # a repeating record -> the first record with its prompt
-    for i, r in enumerate(records):
-        j = first.setdefault((unicodedata.normalize("NFC", r.id),
-                              unicodedata.normalize("NFC", r.description)), i)
-        if j != i:
-            source[i] = j
-    del first
-    repeated = set(source.values())
-    kept: dict[int, gateway.BatchItem] = {}  # results of the repeated prompts
+    if len({r.id for r in records}) != len(records):
+        raise ValueError("classify_corpus needs records with distinct ids")
     predictions: list[Prediction] = []
     failures: list[tuple[str, str]] = []
     for start in range(0, len(records), CHUNK_RECORDS):
-        chunk = range(start, min(start + CHUNK_RECORDS, len(records)))
-        asked = [i for i in chunk if i not in source]
-        items = {}
-        if asked:  # a chunk may hold only repeats, and run_batch refuses an empty batch
-            items = dict(zip(asked, gateway.run_batch(
-                config, [build_hwsw_prompt(template, records[i]) for i in asked], cache=cache)))
-        kept.update((i, items[i]) for i in asked if i in repeated)
-        for i in chunk:
-            record = records[i]
-            item = kept[source[i]] if i in source else items[i]
+        chunk = records[start:start + CHUNK_RECORDS]
+        items = gateway.run_batch(config, [build_hwsw_prompt(template, r) for r in chunk],
+                                  cache=cache)
+        for record, item in zip(chunk, items):
             if item.error is not None:
                 failures.append((record.id, str(item.error)))
                 continue

@@ -78,12 +78,18 @@ def normalize_cve_id(raw: str) -> str:
     return raw.strip().translate(str.maketrans(_HYPHEN_VARIANTS))
 
 
-def _reject_reason(cve_id: str, description: str) -> str | None:
-    """Why a record with these fields is rejected, or None when it is valid."""
+def _reject_reason(cve_id: str, description: str, seen: set[str] | None) -> str | None:
+    """Why a record with these fields is rejected, or None when it is valid;
+    `seen`, when given, holds the ids kept so far, and a valid record's id
+    joins it."""
     if CVE_ID_RE.match(cve_id) is None:
         return "id pattern"
     if not description.strip():
         return "empty description"
+    if seen is not None:
+        if cve_id in seen:
+            return "duplicate id"
+        seen.add(cve_id)
     return None
 
 
@@ -94,7 +100,7 @@ def _decode(data: bytes) -> str:
         raise CveMinerError(str(exc)) from None
 
 
-def _parse_canonical(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
+def _parse_canonical(text: str, seen: set[str] | None) -> tuple[list[CveRecord], list[RejectEntry]]:
     records: list[CveRecord] = []
     rejects: list[RejectEntry] = []
     index = 0
@@ -112,7 +118,7 @@ def _parse_canonical(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
             rejects.append(RejectEntry(index, "not an object", line))
             continue
         cve_id, description = str(obj.get("id", "")), str(obj.get("description", ""))
-        reason = _reject_reason(cve_id, description)
+        reason = _reject_reason(cve_id, description, seen)
         if reason is None:
             records.append(CveRecord(cve_id, description, int(cve_id[4:8]), str(obj.get("source", ""))))
         else:
@@ -144,7 +150,7 @@ def _nvd_id(entry: dict) -> str:
     return str(meta.get("ID", ""))
 
 
-def _parse_nvd(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
+def _parse_nvd(text: str, seen: set[str] | None) -> tuple[list[CveRecord], list[RejectEntry]]:
     try:
         container = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -166,7 +172,7 @@ def _parse_nvd(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
         if description is None:
             rejects.append(RejectEntry(index, "no english description", cve_id))
             continue
-        reason = _reject_reason(cve_id, description)
+        reason = _reject_reason(cve_id, description, seen)
         if reason is None:
             records.append(CveRecord(cve_id, description, int(cve_id[4:8]), "nvd"))
         else:
@@ -174,19 +180,22 @@ def _parse_nvd(text: str) -> tuple[list[CveRecord], list[RejectEntry]]:
     return records, rejects
 
 
-def parse_records(data: bytes, format: str = "canonical-jsonl") -> tuple[list[CveRecord], list[RejectEntry]]:
+def parse_records(data: bytes, format: str = "canonical-jsonl",
+                  seen: set[str] | None = None) -> tuple[list[CveRecord], list[RejectEntry]]:
     """Parse raw file content into records plus a rejects report.
 
     Records are returned in file order; every returned record satisfies the
-    id/description invariants.  The number of records plus the number of
-    rejects equals the number of input entries.
+    id/description invariants.  Given `seen`, the ids of the records kept so
+    far, an entry whose id it holds is rejected as a ``duplicate id``, and
+    each returned record's id joins it.  The number of records plus the
+    number of rejects equals the number of input entries.
     """
     if format not in PARSE_FORMATS:
         raise CveMinerError(f"unknown format {format!r}; expected one of {PARSE_FORMATS}")
     text = _decode(data)
     if format == "canonical-jsonl":
-        return _parse_canonical(text)
-    return _parse_nvd(text)
+        return _parse_canonical(text, seen)
+    return _parse_nvd(text, seen)
 
 
 def _escape_line_breaks(text: str) -> str:

@@ -5,10 +5,11 @@ The stages are declared once, in order, in a stage table that
 ``run_pipeline`` walks in one loop; ``until`` cuts the table short.  Every
 run writes a manifest (``manifest.json``) listing the stages, the digests of
 their inputs, the artifacts they produced, and per-stage counts.  On a
-re-run, a stage whose inputs and existing outputs match the previous
-manifest is skipped, unless its record counts provider errors: classify's
-failed calls are not cached, so they are asked again.  The first stage that
-must recompute forces all later stages to recompute as well.  A recomputed
+re-run, a stage is skipped when its input digest (its ``version``, params
+and input digests) and its outputs match its previous record, whatever ran
+before it, unless the record counts provider errors: classify's failed calls
+are not cached, so they are asked again.  A code change that makes a stage
+write other bytes for the same inputs bumps its ``version``.  A recomputed
 stage deletes every file of its previous record that it no longer writes, so
 a parameter change (a smaller K, say) leaves none of the earlier run's
 artifacts behind.  A run cut short by ``until`` keeps the previous records of
@@ -344,11 +345,8 @@ def _max_rss_mib() -> float:
 
 
 def _asks_again(record: dict) -> bool:
-    """Whether a stage record holds provider errors, which the next run asks
-    again; a classify record written before they were counted apart from
-    unparseable labels counts all its failures."""
-    counts = record.get("counts", {})
-    return counts.get("provider_errors", counts.get("failures", 0)) > 0
+    """Whether a stage record holds provider errors, which the next run asks again."""
+    return record.get("counts", {}).get("provider_errors", 0) > 0
 
 
 def _write_manifest(config: PipelineConfig, stages: list[dict], **fields) -> dict:
@@ -365,13 +363,20 @@ def _write_manifest(config: PipelineConfig, stages: list[dict], **fields) -> dic
     return doc
 
 
-def _ingest_records(config: PipelineConfig) -> tuple[list[corpus.CveRecord], list[corpus.RejectEntry]]:
+def _ingest_records(config: PipelineConfig, seen: set[str] | None = None
+                    ) -> tuple[list[corpus.CveRecord], list[corpus.RejectEntry]]:
+    """The corpus's records and rejects.  When an id repeats, the files are
+    parsed again with a `seen` set, so each later copy becomes a ``duplicate
+    id`` reject; the first parse checks only afterwards, since an id set grown
+    while parsing raised the peak memory of later stages."""
     records: list[corpus.CveRecord] = []
     rejects: list[corpus.RejectEntry] = []
     for path in config.corpus_paths:
-        recs, rej = corpus.parse_records(Path(path).read_bytes(), config.corpus_format)
+        recs, rej = corpus.parse_records(Path(path).read_bytes(), config.corpus_format, seen)
         records.extend(recs)
         rejects.extend(rej)
+    if seen is None and len({r.id for r in records}) < len(records):
+        return _ingest_records(config, set())
     if config.years is not None:
         records = corpus.filter_by_years(records, config.years[0], config.years[1])
     return records, rejects
@@ -391,6 +396,7 @@ class _Run:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.hwsw_template = classifier.load_template("hwsw", config.template_path)
+        self.summarize_template = classifier.load_template("summarize")
         self.stopwords = _load_terms(config.stopwords_path, default_stopwords)
         self.blocklist = _load_terms(config.blocklist_path, default_blocklist)
         self.outdir = Path(config.output_dir)
@@ -558,13 +564,12 @@ def _topics(run: _Run) -> dict:
                                        int(run.counts["cluster"]["k"]), config.r,
                                        run.blocklist, run.stopwords,
                                        per_document=config.per_document)
-    template = classifier.load_template("summarize")
     summaries, blocked = [], []  # blocked: labels held for review; an empty one has no term
     for profile in profiles:
         label = None
         if profile.entries:
-            label, term = topics.summarize_cluster(config.chat_provider, template, profile,
-                                                   cache=run.cache, blocked=run.blocklist)
+            label, term = topics.summarize_cluster(config.chat_provider, run.summarize_template,
+                                                   profile, cache=run.cache, blocked=run.blocklist)
             if not label or term is not None:
                 blocked.append({"cluster": profile.cluster, "label": label, "term": term})
                 label = None
@@ -627,45 +632,45 @@ def _report(run: _Run) -> dict:
 class Stage:
     """One pipeline step.
 
-    ``params(config, run)`` and the digests of the ``inputs`` (artifacts, or
-    ``CORPUS``) decide whether a recorded result is still fresh; ``fn(run)``
-    recomputes it.
+    ``version``, ``params(config, run)`` and the digests of the ``inputs``
+    (artifacts, or ``CORPUS``) decide whether a recorded result is still
+    fresh; ``fn(run)`` recomputes it.  A change that makes ``fn`` write other
+    bytes for the same inputs bumps ``version``.
     """
 
     name: str
+    version: int
     params: Callable[[PipelineConfig, _Run], dict]
     inputs: tuple[str, ...]
     fn: Callable[[_Run], dict]
 
 
 _STAGE_TABLE = (
-    # the marker makes ingest recompute once in a dir whose ingest wrote
-    # records.jsonl, a copy of the corpus, so that the file is deleted
-    Stage("ingest", lambda c, run: {"records_copy": False}, (CORPUS,), _ingest),
-    Stage("classify", lambda c, run: {
+    Stage("ingest", 1, lambda c, run: {}, (CORPUS,), _ingest),
+    Stage("classify", 1, lambda c, run: {
         "provider": [c.chat_provider.kind, c.chat_provider.model_id, c.chat_provider.temperature],
         "template": _sha256(run.hwsw_template.encode("utf-8"))},
           (CORPUS,), _classify),
-    Stage("embed", lambda c, run: {"provider": [c.embed_provider.kind, c.embed_provider.model_id],
-                                   "format": vectors.MATRIX_FORMAT},
+    Stage("embed", 1, lambda c, run: {"provider": [c.embed_provider.kind, c.embed_provider.model_id]},
           ("hardware.jsonl",), _embed),
-    Stage("cluster", lambda c, run: {
+    Stage("cluster", 1, lambda c, run: {
         "k": c.k, "elbow_range": list(c.elbow_range), "restarts": c.restarts,
         "max_iter": c.max_iter, "tol": c.tol, "normalize": c.normalize, "seed": c.seed},
           (EMBEDDINGS,), _cluster),
-    Stage("topics", lambda c, run: {
+    Stage("topics", 1, lambda c, run: {
         "r": c.r, "k": int(run.counts["cluster"]["k"]), "per_document": c.per_document,
         "stopwords": sorted(run.stopwords), "blocklist": sorted(run.blocklist),
-        "provider": [c.chat_provider.kind, c.chat_provider.model_id]},
+        "provider": [c.chat_provider.kind, c.chat_provider.model_id],
+        "template": _sha256(run.summarize_template.encode("utf-8"))},
           ("hardware.jsonl", "assignments.jsonl"), _topics),
-    Stage("representatives", lambda c, run: {
+    Stage("representatives", 1, lambda c, run: {
         "m": c.m, "metric": c.metric, "normalize": c.normalize},
           (EMBEDDINGS, "cluster_model.json", "assignments.jsonl"), _representatives),
-    Stage("project", lambda c, run: {
+    Stage("project", 1, lambda c, run: {
         "perplexity": c.perplexity, "iterations": c.tsne_iterations,
         "learning_rate": c.learning_rate, "seed": c.seed, "normalize": c.normalize},
           (EMBEDDINGS, "assignments.jsonl"), _project),
-    Stage("report", lambda c, run: {"m": c.m},
+    Stage("report", 1, lambda c, run: {"m": c.m},
           ("ngram_profiles.json", "topic_summaries.json", "blocked_labels.json",
            "representatives.json", "coords.jsonl", "classify_failures.jsonl"), _report),
 )
@@ -708,17 +713,16 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> dict:
         table = _STAGE_TABLE[:STAGES.index(until) + 1 if until else None]
         # after table[i] has run, only the artifacts that later stages read are held
         read_later = [set().union(*(s.inputs for s in table[i + 1:])) for i in range(len(table))]
-        dirty = False
         try:
             for stage, needed in zip(table, read_later):
-                input_digest = _digest_params({"params": stage.params(config, run),
+                input_digest = _digest_params({"version": stage.version,
+                                               "params": stage.params(config, run),
                                                "files": run.input_digests(stage)})
                 prev = previous.get(stage.name)
-                if (not dirty and prev is not None and prev.get("input_digest") == input_digest
+                if (prev is not None and prev.get("input_digest") == input_digest
                         and not _asks_again(prev) and run.outputs_fresh(prev)):
                     record = dict(prev, status="cached")
                 else:
-                    dirty = True
                     run.outputs = {}
                     started = _utcnow()
                     t0 = time.perf_counter()
@@ -754,7 +758,8 @@ def run_validate(config: PipelineConfig, fixture_paths: list[str]) -> classifier
     """Classify exactly the fixture records and score against their labels.
 
     Fixture ids are joined against the ingested corpus by id (no year
-    filtering); unresolvable ids raise CveMinerError naming up to 10 of them.
+    filtering); unresolvable ids raise CveMinerError naming up to 10 of them,
+    and so does an id that two fixtures list, before any call.
     Emits the per-model summary table, its CSV mirror, and the predictions.
     """
     outdir = Path(config.output_dir)
@@ -764,11 +769,15 @@ def run_validate(config: PipelineConfig, fixture_paths: list[str]) -> classifier
 
         labeled: list[corpus.LabeledCve] = []
         missing: list[str] = []
+        listed: set[str] = set()
         for path in fixture_paths:
             fixture = corpus.load_fixture(Path(path).read_bytes())
             if fixture.expected_label is None:
                 raise ValueError(f"fixture {fixture.name!r} carries no label; cannot validate")
             for cve_id in fixture.ids:
+                if cve_id in listed:
+                    raise CveMinerError(f"{cve_id} is listed by more than one fixture")
+                listed.add(cve_id)
                 record = by_id.get(cve_id)
                 if record is None:
                     missing.append(cve_id)

@@ -59,11 +59,6 @@ def normalize_matrix(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     )
 
 
-# The layout of the embeddings artifact; the embed stage records it so that a
-# file in another layout is rebuilt (from the cache) instead of read.
-MATRIX_FORMAT = "f64-raw"
-
-
 def dump_matrix(matrix: EmbeddingMatrix) -> bytes:
     """Serialize: header line {dim, model, normalized, ids}, then the n x dim
     rows as little-endian float64, row after row.  The header line is padded

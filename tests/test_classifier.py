@@ -2,7 +2,6 @@ import collections
 import hashlib
 import json
 import random
-import unicodedata
 
 import pytest
 
@@ -116,21 +115,14 @@ def test_classify_unparseable_goes_to_failures(mini_records, hwsw, monkeypatch):
 
 def test_chunks_bill_each_prompt_once_across_boundaries(mini_records, hwsw, monkeypatch,
                                                         failing_inputs):
-    # chunks of 4: each pair below straddles a boundary (indices 3|4, 7|8, 11|12)
-    cafe = corpus.CveRecord("CVE-2021-9001", "caf\u00e9 firmware", 2021, "t")
-    nfd = corpus.CveRecord("CVE-2021-9001", "cafe\u0301 firmware", 2021, "t")
+    # chunks of 4 hold 4, 4, 4 and 3 records; the failing record ends the third
     bad = corpus.CveRecord("CVE-2021-9002", "BAD input", 2021, "t")
-    r = mini_records
-    base = [r[0], r[1], r[2], r[3], r[3], r[4], r[5], cafe, nfd, r[6], r[7], bad, bad, r[0], r[8]]
+    records = [*mini_records[:11], bad, *mini_records[11:14]]
     failing_inputs("BAD input")
     calls = collections.Counter()
     reply = gateway.mock_chat_reply
-
-    def counting(model_id, prompt):
-        calls[unicodedata.normalize("NFC", prompt)] += 1
-        return reply(model_id, prompt)
-
-    monkeypatch.setattr(gateway, "mock_chat_reply", counting)
+    monkeypatch.setattr(gateway, "mock_chat_reply", lambda model_id, prompt: (
+        calls.update([prompt]) or reply(model_id, prompt)))
     batch_sizes = []
     run_batch = gateway.run_batch
     monkeypatch.setattr(gateway, "run_batch", lambda config, inputs, cache=None:
@@ -143,23 +135,20 @@ def test_chunks_bill_each_prompt_once_across_boundaries(mini_records, hwsw, monk
         batch_sizes.clear()
         return classify_corpus(config, hwsw, records)
 
-    # doubled, records 15 on all repeat earlier ones, so chunks 16-19 to 28-29 hold only repeats
-    for n, records in enumerate((base, base + base)):
-        whole = classify(records, len(records))
-        assert len(batch_sizes) == 1 and sorted(calls.values()) == [1] * 11
-        predictions, failures = classify(records, 4)
-        assert sorted(calls.values()) == [1] * 11
-        assert max(batch_sizes) <= 4
-        assert len(batch_sizes) == 4  # the doubled list's last four chunks ask nothing
-        assert predictions == whole[0]
-        ids = [p.id for p in predictions]
-        assert ids.count(r[3].id) == ids.count(cafe.id) == 2 * (n + 1)
-        # every failing record shares the one attempt of its run, the input's second
-        # (then its fourth, as the attempts on an input add up across runs)
-        first, second = f"failure {2 * n + 1}", f"failure {2 * n + 2}"
-        assert failures == [(i, why.replace(first, second)) for i, why in whole[1]]
-        assert [why for i, why in failures if i == bad.id] == \
-            [f"provider error (status=503): injected {second}"] * (2 * (n + 1))
+    whole = classify(records, len(records))
+    assert batch_sizes == [15] and sorted(calls.values()) == [1] * 15
+    predictions, failures = classify(records, 4)
+    assert batch_sizes == [4, 4, 4, 3] and sorted(calls.values()) == [1] * 15
+    assert predictions == whole[0]
+    # the failing record's one attempt in this run is the input's second
+    assert failures == [(i, why.replace("failure 1", "failure 2")) for i, why in whole[1]]
+    assert failures == [(bad.id, "provider error (status=503): injected failure 2")]
+
+    # a repeated id, with the same description or another, raises before any call
+    for repeat in (records[3], corpus.CveRecord(records[3].id, "BAD input", 2021, "t")):
+        with pytest.raises(ValueError, match="distinct ids"):
+            classify([*records[:8], repeat, *records[8:]], 4)
+        assert batch_sizes == [] and not calls
 
 
 def test_classify_requires_records(chat_config, hwsw):

@@ -56,6 +56,29 @@ def test_records_plus_rejects_equals_entries():
     assert len(records) == 2
 
 
+def test_repeated_id_is_rejected_and_the_first_record_kept():
+    lines = [
+        '{"id":"CVE-2021-0001","description":"first"}',
+        '{"id":"CVE-2021-0001","description":"  "}',
+        '{"id":"CVE-2021-0001","description":"second"}',
+        '{"id":"CVE-2021-0002","description":"other"}',
+    ]
+    seen = set()
+    records, rejects = corpus.parse_records("\n".join(lines).encode(), seen=seen)
+    assert [(r.id, r.description) for r in records] == [("CVE-2021-0001", "first"),
+                                                         ("CVE-2021-0002", "other")]
+    assert [(r.index, r.reason, r.raw) for r in rejects] == [
+        (2, "empty description", lines[1]), (3, "duplicate id", lines[2])]
+    assert seen == {"CVE-2021-0001", "CVE-2021-0002"}
+    # a later file of the same corpus shares `seen`
+    feed = {"vulnerabilities": [
+        {"cve": {"id": cve_id, "descriptions": [{"lang": "en", "value": "flaw"}]}}
+        for cve_id in ("CVE-2021-0002", "CVE-2021-0003")]}
+    records, rejects = corpus.parse_records(json.dumps(feed).encode(), "nvd-feed", seen)
+    assert [r.id for r in records] == ["CVE-2021-0003"]
+    assert [(r.index, r.reason, r.raw) for r in rejects] == [(1, "duplicate id", "CVE-2021-0002")]
+
+
 def test_round_trip_canonical():
     descriptions = ['quote " inside', "newline\nin text", "unicode café — dash", "plain",
                     "line\u2028separator", "paragraph\u2029separator", "next\x85line"]

@@ -1,3 +1,4 @@
+import collections
 import fcntl
 import http.client
 import json
@@ -124,7 +125,7 @@ def test_pipeline_deterministic_across_runs(tmp_path):
     assert stripped_manifest(tmp_path / "out_a") == stripped_manifest(tmp_path / "out_b")
 
 
-def test_pipeline_resume_recomputes_later_stages_only(tmp_path):
+def test_pipeline_resume_rewrites_a_lost_artifact_and_keeps_later_stages_cached(tmp_path):
     config = PipelineConfig.from_dict(write_config(tmp_path))
     run_pipeline(config)
     (tmp_path / "out" / "embeddings.f64").unlink()
@@ -133,8 +134,8 @@ def test_pipeline_resume_recomputes_later_stages_only(tmp_path):
     assert status["ingest"] == "cached"
     assert status["classify"] == "cached"
     assert status["embed"] == "computed"
-    assert status["cluster"] == "computed"
-    assert status["report"] == "computed"
+    # embed rewrites the same bytes, so the stages that read them stay cached
+    assert [status[name] for name in STAGES[3:]] == ["cached"] * 5
 
 
 def test_pipeline_fully_cached_second_run(tmp_path):
@@ -153,6 +154,104 @@ def test_pipeline_param_change_invalidates_downstream(tmp_path):
     assert status["ingest"] == "cached"
     assert status["topics"] == "cached"
     assert status["representatives"] == "computed"
+
+
+def _counting_providers(monkeypatch) -> list:
+    """The (model, input) of every mock provider call from here on."""
+    calls = []
+    for name in ("mock_chat_reply", "mock_embed_vector"):
+        real = getattr(gateway, name)
+        monkeypatch.setattr(gateway, name, lambda model_id, text, real=real:
+                            calls.append((model_id, text)) or real(model_id, text))
+    return calls
+
+
+def _statuses(manifest: dict) -> list[str]:
+    return [s["status"] for s in manifest["stages"]]
+
+
+def test_pipeline_changed_m_recomputes_representatives_and_report_only(tmp_path, monkeypatch):
+    run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    calls = _counting_providers(monkeypatch)
+    manifest = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, **{"report.m": 3})))
+    assert _statuses(manifest) == ["cached"] * 5 + ["computed", "cached", "computed"]
+    assert calls == []
+    fresh = write_config(tmp_path, output_dir=str(tmp_path / "fresh"),
+                         cache_path=str(tmp_path / "fresh_cache.jsonl"), **{"report.m": 3})
+    run_pipeline(PipelineConfig.from_dict(fresh))
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "fresh")
+
+
+def test_pipeline_update_without_new_hardware_keeps_embed_onward_cached(tmp_path, monkeypatch):
+    run_pipeline(PipelineConfig.from_dict(write_config(tmp_path)))
+    update = tmp_path / "update.jsonl"
+    update.write_text("".join(json.dumps({"id": f"CVE-2022-{5000 + i}", "source": "t",
+                                          "description": f"plain web application flaw {i}"}) + "\n"
+                              for i in range(6)))
+    paths = {"corpus.paths": [str(tmp_path / "mini.jsonl"), str(update)]}
+    calls = _counting_providers(monkeypatch)
+    manifest = run_pipeline(PipelineConfig.from_dict(write_config(tmp_path, **paths)))
+    assert _statuses(manifest) == ["computed"] * 2 + ["cached"] * 6
+    # one classify call per new record; no embed or summarize call
+    assert [model for model, _ in calls] == ["mock-hwsw"] * 6
+    assert all("plain web application flaw" in text for _, text in calls)
+    cold = write_config(tmp_path, output_dir=str(tmp_path / "cold"),
+                        cache_path=str(tmp_path / "cold_cache.jsonl"), **paths)
+    run_pipeline(PipelineConfig.from_dict(cold))
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "cold")
+
+
+@pytest.mark.parametrize("bumped", STAGES)
+def test_pipeline_version_bump_recomputes_that_stage_alone(tmp_path, monkeypatch, bumped):
+    config = PipelineConfig.from_dict(write_config(tmp_path))
+    run_pipeline(config)
+    before = tree_bytes(tmp_path / "out")
+    monkeypatch.setattr(pipeline, "_STAGE_TABLE", tuple(
+        replace(stage, version=stage.version + 1) if stage.name == bumped else stage
+        for stage in pipeline._STAGE_TABLE))
+    calls = _counting_providers(monkeypatch)
+    manifest = run_pipeline(config)
+    # the bumped stage writes the same bytes, so the stages after it stay cached
+    assert _statuses(manifest) == ["computed" if name == bumped else "cached" for name in STAGES]
+    assert calls == [] and tree_bytes(tmp_path / "out") == before
+    assert _statuses(run_pipeline(config)) == ["cached"] * len(STAGES)
+
+
+@pytest.mark.parametrize("repeat", ["the corpus listed twice", "an id with another description"])
+def test_pipeline_keeps_the_first_record_of_a_repeated_id(tmp_path, monkeypatch, repeat):
+    mini = fixture_bytes("mini_corpus.jsonl")
+    first = json.loads(mini.splitlines()[-1])  # a software record
+    assert first["id"] == "CVE-2024-4108" and "firmware" not in first["description"]
+    new = json.dumps({"id": "CVE-2024-9001", "description": "plain web application flaw",
+                      "source": "t"}).encode("utf-8") + b"\n"
+    if repeat == "the corpus listed twice":
+        extra, kept = mini, b""
+    else:  # a hardware description under a software record's id, then a new record
+        extra = json.dumps(dict(first, description="firmware flash region writable")).encode(
+            "utf-8") + b"\n" + new
+        kept = new
+    runs = {}
+    calls = _counting_providers(monkeypatch)
+    for name, files in (("dup", [mini, extra]), ("dedup", [mini, kept])):
+        root = tmp_path / name
+        root.mkdir()
+        paths = []
+        for i, data in enumerate(files):
+            (root / f"corpus{i}.jsonl").write_bytes(data)
+            paths.append(str(root / f"corpus{i}.jsonl"))
+        doc = write_config(root, **{"corpus.paths": paths})
+        (root / "config.json").write_text(json.dumps(doc))
+        calls.clear()
+        assert cli_main(["pipeline", "--config", str(root / "config.json")]) == 0
+        runs[name] = list(calls), tree_bytes(root / "out", skip=("manifest.json", "rejects.jsonl"))
+    assert sorted(runs["dup"][0]) == sorted(runs["dedup"][0])  # nothing billed twice
+    assert max(collections.Counter(runs["dup"][0]).values()) == 1
+    assert runs["dup"][1] == runs["dedup"][1]
+    rejects = pipeline._parse_jsonl((tmp_path / "dup" / "out" / "rejects.jsonl").read_bytes())
+    repeated = extra.splitlines()[:len(rejects)]
+    assert rejects == [{"index": i, "reason": "duplicate id", "raw": raw.decode("utf-8")}
+                       for i, raw in enumerate(repeated, start=1)]
+    assert len(rejects) == (60 if repeat == "the corpus listed twice" else 1)
 
 
 def test_pipeline_smaller_k_leaves_no_stale_outputs(tmp_path):
@@ -424,8 +523,8 @@ def _as_older_layout(outdir: Path, config: PipelineConfig, vector_field: str) ->
     """Rewrite a run's output dir as versions before raw float64 embeddings
     left it: a records.jsonl copy of the corpus, an embeddings.jsonl with one
     {"id", vector_field} line per row ("f64": base64 of the float64 bytes;
-    "v": a decimal list, the oldest layout), and stage records digested as
-    those versions digested them."""
+    "v": a decimal list, the oldest layout), and every stage record digested
+    as those versions digested it, with no stage version."""
     matrix = vectors.load_matrix((outdir / pipeline.EMBEDDINGS).read_bytes())
     (outdir / pipeline.EMBEDDINGS).unlink()
     lines = [json.dumps({"dim": matrix.dim, "model": matrix.model_id, "normalized": False})]
@@ -452,13 +551,16 @@ def _as_older_layout(outdir: Path, config: PipelineConfig, vector_field: str) ->
               "representatives": ["embeddings.jsonl", "cluster_model.json", "assignments.jsonl"],
               "project": ["embeddings.jsonl", "assignments.jsonl"]}
     run = pipeline._Run(config)
+    run.counts["cluster"] = records["cluster"]["counts"]
     for stage in pipeline._STAGE_TABLE:
-        if stage.name in inputs:
-            files = inputs[stage.name]
-            records[stage.name]["input_digest"] = pipeline._digest_params({
-                "params": params.get(stage.name) or stage.params(config, run),
-                "files": [pipeline._digest_file(Path(p)) for p in config.corpus_paths]
-                if files is None else [digests[name] for name in files]})
+        files = inputs.get(stage.name, stage.inputs)
+        doc = params.get(stage.name) or stage.params(config, run)
+        if stage.name == "topics":
+            del doc["template"]  # the summarize template was not digested
+        records[stage.name]["input_digest"] = pipeline._digest_params({
+            "params": doc,
+            "files": [pipeline._digest_file(Path(p)) for p in config.corpus_paths]
+            if files is None else [digests[name] for name in files]})
     (outdir / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -669,26 +771,38 @@ def test_pipeline_dry_run_respects_the_output_dir_lock(tmp_path):
 # Pinned at a release: a config document must keep digesting to the same
 # run_id and stage input digests, or every output directory written before an
 # upgrade recomputes (a field read as int instead of float is enough).
+# The "example" entry also pins each stage's version and the digest of its
+# outputs map on the mini corpus: a change that makes a stage write other bytes
+# bumps that stage's version in the same edit, so that directories written
+# before it recompute the stage.
 PINNED_RUN_IDS = {"minimal": "8e7f33a89550d536", "remote": "7e6a661ede972c8d"}
 PINNED_STAGE_DIGESTS = {
     "example": ("8485eccde079e163", {
-        "ingest": "077df69de0069970c03f76f6d498006e0b4badc0d142e8ed383a2144e0771438",
-        "classify": "4c4bdd3faba978866aed01a0ee0a8f83f9cba45521f7254c460bd8a870dcee28",
-        "embed": "cbf36937150223a2e6b5d45e1af499598fbbbd13387ddf409a537f6bba2ac50e",
-        "cluster": "5ba2122a35023a2c79f2aafdd747a3fd60ea94f12e48688dc47f44c527f675a0",
-        "topics": "fbaa0be8b79021c3ab3d1c6a714d8f9bb7cd5f1892d98f2b4929ea0e05c57369",
-        "representatives": "571eb8da275ddcf0ab17f5db61886aed7c611b8216ecaa2c7956484a4a4a097b",
-        "project": "48abcf20120605c09a5527b158598baaaba5e345984422b34a1f553db15f2237",
-        "report": "aea0af8638f11ab9e087aebcd04c442a2b15edd965bcd2e0bf2df4e50040ab4d"}),
+        "ingest": "ddab44c961cac29719e6dc823d2cb15d98411033e8c02b292977b47609be69e9",
+        "classify": "be7d3b2aaecfe545adf3a2de1f272410a91ee14cfc32d359e60386fad0e68c0a",
+        "embed": "127455198174703aba319971db298f2409fc5ac121f5247c2a72107185f995ff",
+        "cluster": "cec71465b2c416d151cfc7282ddc1d92adf65a4d13eadf1d0d46fb04386722d0",
+        "topics": "164730d0918686fc8e109187710bdd32368bb56dfd0eba5fb92fca8a95765639",
+        "representatives": "5c59c0e4f0b7e27fb0e36eb1b1f459dbb175828339e5df2746b5948016130c09",
+        "project": "d3c0af5fbca50e610eac31408d59d5e3bcf2181202a16ddcb25dd99aadd152dc",
+        "report": "997306d0d11546f0000a9270529568285fdeee71e18f4be6efd7424b1dcc9653"}, {
+        "ingest": (1, "89cbbc9f95a43ed1330f1a94300ced0480e365a4127c529744142cbab8e2f477"),
+        "classify": (1, "c0e9f04ccebcc18b6461e35796dab92fdf2006d5ecbe130a7a135995ff902e98"),
+        "embed": (1, "9939fb6ece09f2ceb7f17fc372be6b7fe0ce2fe9aea3bb0f92352b81fd196c72"),
+        "cluster": (1, "9ada5d72d87bb062df1032e4da36aeac33ff73b534d1f8bcf2e611ed653790f9"),
+        "topics": (1, "5b154f2512c77e1aff64869be34113e2e174121a393f0613433c9f34fe69d906"),
+        "representatives": (1, "94e0af38a06446faf41e3e1266cb7f779aac416b891d3672951661dc282fec0c"),
+        "project": (1, "75213196eeb752d777b98a8c310bdb99254c656085f44ece39fa3f37d3fa1310"),
+        "report": (1, "fe0f9410daf07a5ba11777aaaa91763c96382896e8e39318dd933ed27347f4f3")}),
     "perfbench": ("ba9732f069430e48", {
-        "ingest": "ba858708ce37c7ce7692f3efce6c1b875f07ace274678f7d712a65a49887688a",
-        "classify": "955141f5db3d6a6b296e5365cbd12866287fb6a90e1aed7217786fd4993fa592",
-        "embed": "36d664368fad065e578f3e6bc2119a664b57ce4225b8dc887709d97de4eff2a6",
-        "cluster": "956bb544f39b6c9800959c90b71fc8894b83953af6466f2a8926d50752e63e96",
-        "topics": "fbaa0be8b79021c3ab3d1c6a714d8f9bb7cd5f1892d98f2b4929ea0e05c57369",
-        "representatives": "5e56a25824f439c0d31c056857d9be41c7e95b70e707f10d423079e667eb9f94",
-        "project": "0b0ae2a91403a0d0be85450df98970e0eece9a641e7b9b1adc61709c31c27b60",
-        "report": "73b252d6320510a611f7a70fc516244eaade9607b944ad3670f00b521d6a7be4"}),
+        "ingest": "5e19e75ee738f1ce10650f0d93744c971951478268a240d48b306904969329a9",
+        "classify": "5e0f052d2c01e0f08bb6b99213ee6ed2ea29247f6bad50f406f0e41b28b0dbfa",
+        "embed": "45d8373cd1ac0f114ad976a92ae3395cd5c5e55965df077d88ce579ab7405135",
+        "cluster": "ac53ad40989dfd2b0474920b121e9b6a0aedc726e99d61e1e40bb42a2101bb2e",
+        "topics": "164730d0918686fc8e109187710bdd32368bb56dfd0eba5fb92fca8a95765639",
+        "representatives": "2f9b6bbc35c889ef8d7036397d8134e8d1a0bd0cbbac12125ff4c5d1f7e01d24",
+        "project": "ad79ecc97776887e17d4a46801bd98d3c7ccfaf4c8e854cd4e5fa6b0c17b02f6",
+        "report": "5f975d1c8dc372ada8e3c4b59f3426295285c7f4867c29f7e12715ae17ed33bf"}, None),
 }
 
 
@@ -727,9 +841,13 @@ def test_config_stage_input_digests_are_pinned(tmp_path, name):
     doc["corpus"]["paths"] = [str(corpus_path)]
     doc["output_dir"], doc["cache_path"] = str(tmp_path / "out"), str(tmp_path / "cache.jsonl")
     manifest = run_pipeline(PipelineConfig.from_dict(doc))
-    run_id, digests = PINNED_STAGE_DIGESTS[name]
+    run_id, digests, outputs = PINNED_STAGE_DIGESTS[name]
     assert manifest["run_id"] == run_id
     assert {s["name"]: s["input_digest"] for s in manifest["stages"]} == digests
+    if outputs is not None:
+        versions = {stage.name: stage.version for stage in pipeline._STAGE_TABLE}
+        assert {s["name"]: (versions[s["name"]], pipeline._digest_params(s["outputs"]))
+                for s in manifest["stages"]} == outputs
 
 
 def test_pipeline_ingests_nvd_feed_format(tmp_path):
@@ -857,6 +975,19 @@ def test_validate_missing_descriptions(tmp_path):
     ids = ", ".join(fixture["ids"])
     with pytest.raises(CveMinerError, match=f"^10 fixture ids missing from corpus: {ids}$"):
         run_validate(PipelineConfig.from_dict(doc), [str(missing_path)])
+
+
+def test_validate_rejects_an_id_two_fixtures_list_before_any_call(tmp_path, monkeypatch):
+    corpus_path, hw, sw = _bench_paths(tmp_path)
+    listed = json.loads(hw.read_text())["ids"][0]
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"name": "other", "label": 0, "ids": [listed]}))
+    doc = write_config(tmp_path)
+    doc["corpus"]["paths"] = [str(corpus_path)]
+    calls = _counting_providers(monkeypatch)
+    with pytest.raises(CveMinerError, match=f"^{listed} is listed by more than one fixture$"):
+        run_validate(PipelineConfig.from_dict(doc), [str(hw), str(sw), str(other)])
+    assert calls == [] and not Path(doc["cache_path"]).exists()
 
 
 def test_validate_requires_labeled_fixture(tmp_path):
